@@ -1,4 +1,5 @@
 import io
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,7 @@ from psatkit import Clause, ConjunctiveForm, Literal
 from psatkit.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -24,6 +26,12 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     code = run([str(a) for a in argv], out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child `python -m psatkit` that imports this checkout's src."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
 
 
 def random_clause(rng: random.Random, n: int, width: int) -> Clause:

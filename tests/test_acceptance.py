@@ -49,6 +49,7 @@ from conftest import (
     random_form,
     random_unit_fraction,
     run_cli,
+    subprocess_env,
 )
 
 ALL_FIXTURES = (
@@ -346,6 +347,7 @@ def test_criterion_11_determinism(capsys):
                 [sys.executable, "-m", "psatkit", *argv],
                 capture_output=True,
                 text=True,
+                env=subprocess_env(),
             )
             for _ in range(2)
         ]

@@ -7,7 +7,7 @@ import pytest
 
 from psatkit import Distribution, Interval, SOLVE_COLUMN_GUARD
 from psatkit.cli import ParseError, parse, parse_rational, read_psat_file, render
-from conftest import FIXTURES, fixture_path, run_cli
+from conftest import FIXTURES, fixture_path, run_cli, subprocess_env
 
 ALL_FIXTURES = (
     "nilsson.psat",
@@ -339,6 +339,7 @@ class TestDeterminism:
             [sys.executable, "-m", "psatkit", *argv],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == code
         assert proc.stdout == out

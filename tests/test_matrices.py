@@ -54,6 +54,20 @@ class TestRationalMatrix:
         assert RationalMatrix.from_rows(((0, 0),)).is_zero()
         assert not RationalMatrix.from_rows(((0, 1),)).is_zero()
 
+    def test_int_and_string_entries_become_fractions(self):
+        m = RationalMatrix(2, 2, (1, "1/2", F(3, 4), "-2"))
+        assert m.entries == (1, F(1, 2), F(3, 4), -2)
+        assert all(type(e) is F for e in m.entries)
+        assert all(type(e) is F for e in RationalMatrix.from_rows(((1, "2/3"),)).entries)
+
+    def test_products_are_fractions(self):
+        a = RationalMatrix.from_rows(((1, 0), (2, 3)))
+        b = RationalMatrix.from_rows(((0, 0), (0, 0)))
+        for product in (a.matmul(a), a.matmul(b)):
+            assert all(type(e) is F for e in product.entries)
+        for vec in ((1, 2), (0, 0)):
+            assert all(type(v) is F for v in a.mul_vec(vec))
+
 
 class TestAssignmentMatrix:
     def test_two_variables(self):

@@ -198,6 +198,9 @@ class TestProbabilisticAssignment:
         x = ProbabilisticAssignment(2, (1, F(1, 2)))
         assert x.values == (F(1), F(1, 2))
         assert all(isinstance(v, F) for v in x.values)
+        y = ProbabilisticAssignment(2, ("1/3", 0))
+        assert y.values == (F(1, 3), 0)
+        assert all(type(v) is F for v in y.values)
 
     def test_rejects_bad_lengths_and_values(self):
         with pytest.raises(ValueError):
@@ -228,6 +231,12 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution(2, 2, (1, 0, 0))
 
+    def test_int_and_string_weights_become_fractions(self):
+        u = Distribution(1, 2, ("1/4", "3/4"))
+        assert u.weights == (F(1, 4), F(3, 4))
+        v = Distribution(1, 2, (0, 1))
+        assert all(type(w) is F for w in u.weights + v.weights)
+
 
 class TestInterval:
     def test_contains(self):
@@ -242,3 +251,9 @@ class TestInterval:
     def test_degenerate(self):
         iv = Interval(F(1, 3), F(1, 3))
         assert F(1, 3) in iv
+
+    def test_int_and_string_ends_become_fractions(self):
+        iv = Interval(0, "2/3")
+        assert (iv.lo, iv.hi) == (0, F(2, 3))
+        assert type(iv.lo) is F and type(iv.hi) is F
+        assert "1/2" in iv and 1 not in iv

@@ -50,6 +50,14 @@ class TestTarget:
         t = ClauseProbabilityTarget(((F(1, 4), F(3, 4)),))
         assert not t.is_exact()
 
+    def test_int_and_string_bounds_become_fractions(self):
+        t = ClauseProbabilityTarget(((0, "1/2"), ("1/3", 1)))
+        assert t.bounds == ((0, F(1, 2)), (F(1, 3), 1))
+        e = ClauseProbabilityTarget.exact(("2/5", 1))
+        assert e.bounds == ((F(2, 5), F(2, 5)), (1, 1))
+        for target in (t, e):
+            assert all(type(v) is F for v in target.lower + target.upper)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ClauseProbabilityTarget(())

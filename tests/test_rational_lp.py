@@ -52,6 +52,24 @@ class TestProblemValidation:
         assert all(isinstance(e, F) for e in p.rows[0])
         assert isinstance(p.row_lower[0], F)
 
+    def test_int_and_string_inputs_become_fractions(self):
+        p = simplex_lp(((1, "1/2"),), ("1/4",), (1,), objective=(2, "-1/3"))
+        assert p.rows == ((1, F(1, 2)),)
+        assert p.objective == (2, F(-1, 3))
+        values = (*p.objective, *p.rows[0], *p.row_lower, *p.row_upper)
+        assert all(type(v) is F for v in values)
+        q = p.with_objective((1, "3/2"))
+        assert q.objective == (1, F(3, 2))
+        assert all(type(v) is F for v in q.objective)
+
+    def test_witness_and_value_are_fractions(self):
+        p = simplex_lp(((0, 1),), ("1/4",), ("3/4",), objective=(1, 3))
+        for out in (lp_solve(p), lp_feasible(p), lp_solve(LpProblem(num_vars=2, objective=(1, 1)))):
+            assert all(type(v) is F for v in out.witness)
+            assert type(out.value) is F
+        interval = lp_optimize_both(p)
+        assert type(interval.lo) is F and type(interval.hi) is F
+
 
 class TestBasicSolves:
     def test_no_rows_minimum_is_cheapest_vertex(self):
