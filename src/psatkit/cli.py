@@ -38,7 +38,6 @@ from .matrices import (
     RationalMatrix,
     assignment_matrix,
     bias_matrix,
-    clause_value_matrix,
     kernel_basis_matrix,
     kernel_column_sums,
     kernel_column_sums_formula,
@@ -49,17 +48,19 @@ from .model import (
     Distribution,
     Interval,
     ProbabilisticAssignment,
+    as_fraction,
 )
 from .problems import (
     ClauseProbabilityTarget,
     PsatInstance,
+    clause_problem,
     clause_truth_vector,
     coherence,
     entail,
     psat,
     sat_via_psat,
 )
-from .rational_lp import lp_optimize_both, LpProblem
+from .rational_lp import lp_feasible, lp_optimize_both
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -269,8 +270,8 @@ def render(result, fmt: str = "text") -> str:
         return str(result) if fmt == "text" else _dumps(str(result))
     if isinstance(result, (tuple, list)):
         if fmt == "text":
-            return " ".join(str(Fraction(v)) for v in result)
-        return _dumps([str(Fraction(v)) for v in result])
+            return " ".join(str(as_fraction(v)) for v in result)
+        return _dumps([str(as_fraction(v)) for v in result])
     raise TypeError(f"cannot render {type(result).__name__}")
 
 
@@ -384,11 +385,12 @@ def _cmd_verify(args, out, err) -> int:
     limit = _guard(args, err, VERIFY_COLUMN_GUARD)
     instance = _load_instance(args.file)
     form, target = instance.form, instance.target
-    matrix = clause_value_matrix(form, instance.k, limit)
-    lp_decision, _ = psat(form, target, instance.k, limit)
+    problem = clause_problem(form, target, instance.k, limit)
+    matrix = RationalMatrix.from_rows(problem.rows)
+    lp_decision = lp_feasible(problem).is_optimal
     try:
         oracle.support_enumeration_optimize(
-            matrix, target.lower, target.upper, (ZERO,) * matrix.cols, limit
+            matrix, target.lower, target.upper, problem.objective, limit
         )
         oracle_decision = True
     except InfeasibleError:
@@ -400,15 +402,8 @@ def _cmd_verify(args, out, err) -> int:
     if args.goal is not None:
         goal = _parse_goal(args.goal, form.n)
         z = clause_truth_vector(goal, form.n, instance.k, limit)
-        problem = LpProblem(
-            num_vars=matrix.cols,
-            objective=z,
-            rows=tuple(matrix.row(i) for i in range(matrix.rows)),
-            row_lower=target.lower,
-            row_upper=target.upper,
-        )
         try:
-            lp_side = render(lp_optimize_both(problem))
+            lp_side = render(lp_optimize_both(problem.with_objective(z)))
         except InfeasibleError:
             lp_side = "infeasible"
         try:

@@ -1,8 +1,10 @@
-"""Exact rational elimination helpers: rank, unique solve, nullspace.
+"""Exact rational elimination: rank, unique solve, nullspace.
 
-Deterministic throughout: pivots are chosen by first nonzero position, never
-by magnitude. The LP solver does not use this module; it keeps its own
-pivoting so the brute-force cross-checks stay independent of it.
+All three read one sparse reduced row echelon form, built by `_rref`. Pivots
+are chosen by first nonzero column, never by magnitude, and the reduced row
+echelon form of a matrix is unique, so every result is deterministic. The LP
+solver does not use this module; it keeps its own pivoting so the
+brute-force cross-checks stay independent of it.
 """
 
 from __future__ import annotations
@@ -10,32 +12,56 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .model import as_fraction
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Row = Sequence[Fraction]
 
 
-def rank(rows: Sequence[Row]) -> int:
-    """Rank via sparse row reduction with first-column pivoting."""
+def _rref(rows: Sequence[Row]) -> dict[int, dict[int, Fraction]]:
+    """Sparse reduced row echelon form: pivot column -> pivot row.
+
+    A pivot row maps columns to nonzero entries; it is 1 at its own pivot
+    column and 0 at every other one. Rows are added one at a time: a new row
+    is cleared at the existing pivot columns, and if anything is left, its
+    first nonzero column becomes a pivot and is cleared from the earlier rows.
+    """
     pivots: dict[int, dict[int, Fraction]] = {}
+
+    def subtract(row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]) -> None:
+        for j, v in pivot.items():
+            new = row.get(j, ZERO) - factor * v
+            if new:
+                row[j] = new
+            else:
+                del row[j]
+
     for dense in rows:
-        row = {j: Fraction(v) for j, v in enumerate(dense) if v != 0}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = row[col]
-                pivots[col] = {j: v / inv for j, v in row.items()}
-                break
-            factor = row[col]
-            for j, v in pivot.items():
-                new = row.get(j, ZERO) - factor * v
-                if new:
-                    row[j] = new
-                else:
-                    row.pop(j, None)
-    return len(pivots)
+        row = {}
+        for j, v in enumerate(dense):
+            f = as_fraction(v)
+            if f:
+                row[j] = f
+        for col in [c for c in row if c in pivots]:
+            subtract(row, row[col], pivots[col])
+        if not row:
+            continue
+        lead = min(row)
+        inv = row[lead]
+        if inv != ONE:
+            row = {j: v / inv for j, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                subtract(other, other[lead], row)
+        pivots[lead] = row
+    return pivots
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Number of pivots of the reduced row echelon form."""
+    return len(_rref(rows))
 
 
 def solve_unique(rows: Sequence[Row], rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -51,79 +77,33 @@ def solve_unique(rows: Sequence[Row], rhs: Sequence[Fraction]) -> tuple[Fraction
     if m == 0:
         return None
     ncols = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for row in aug:
-        if len(row) != ncols + 1:
-            raise ValueError("ragged coefficient rows")
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged coefficient rows")
     if ncols == 0:
         return None
-    where = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(where, m) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            # free column: solution cannot be unique
-            return None
-        aug[where], aug[pivot_row] = aug[pivot_row], aug[where]
-        inv = aug[where][col]
-        if inv != ONE:
-            aug[where] = [v / inv for v in aug[where]]
-        prow = aug[where]
-        for i in range(m):
-            if i == where:
-                continue
-            factor = aug[i][col]
-            if factor == 0:
-                continue
-            aug[i] = [v - factor * p for v, p in zip(aug[i], prow)]
-        where += 1
-        if where == m:
-            break
-    if where < ncols:
+    # Unique exactly when every coefficient column is a pivot and the
+    # right-hand side column is not.
+    pivots = _rref([[*row, b] for row, b in zip(rows, rhs)])
+    if len(pivots) != ncols or ncols in pivots:
         return None
-    for i in range(ncols, m):
-        if aug[i][ncols] != 0:
-            return None
-    return tuple(aug[i][ncols] for i in range(ncols))
+    return tuple(pivots[col].get(ncols, ZERO) for col in range(ncols))
 
 
 def nullspace(rows: Sequence[Row]) -> list[tuple[Fraction, ...]]:
     """Kernel basis from the reduced row echelon form, one vector per free column."""
-    m = len(rows)
-    if m == 0:
+    if len(rows) == 0:
         raise ValueError("no rows")
     ncols = len(rows[0])
-    mat = [[Fraction(v) for v in row] for row in rows]
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("ragged rows")
-    pivot_cols: list[int] = []
-    where = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(where, m) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[where], mat[pivot_row] = mat[pivot_row], mat[where]
-        inv = mat[where][col]
-        if inv != ONE:
-            mat[where] = [v / inv for v in mat[where]]
-        prow = mat[where]
-        for i in range(m):
-            if i == where:
-                continue
-            factor = mat[i][col]
-            if factor == 0:
-                continue
-            mat[i] = [v - factor * p for v, p in zip(mat[i], prow)]
-        pivot_cols.append(col)
-        where += 1
-        if where == m:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    pivots = _rref(rows)
     basis = []
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivots:
+            continue
         vec = [ZERO] * ncols
         vec[free] = ONE
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -mat[r][free]
+        for col, row in pivots.items():
+            vec[col] = -row.get(free, ZERO)
         basis.append(tuple(vec))
     return basis

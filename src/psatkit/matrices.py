@@ -15,7 +15,13 @@ from math import comb
 from typing import Sequence
 
 from .errors import SOLVE_COLUMN_GUARD, check_columns
-from .model import ConjunctiveForm, Distribution, enumerate_assignments, eval_clause
+from .model import (
+    ConjunctiveForm,
+    Distribution,
+    as_fraction,
+    enumerate_assignments,
+    eval_clause,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,7 +39,7 @@ class RationalMatrix:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"need positive dimensions, got {self.rows}x{self.cols}")
-        entries = tuple(Fraction(e) for e in self.entries)
+        entries = tuple(as_fraction(e) for e in self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "

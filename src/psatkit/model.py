@@ -21,6 +21,15 @@ HALF = Fraction(1, 2)
 Rational = Union[Fraction, int]
 
 
+def as_fraction(value) -> Fraction:
+    """The value as a Fraction: a Fraction is returned as it is, anything else converted.
+
+    Validating constructors call this once per entry, where values enter the
+    library; values derived from them are Fractions already.
+    """
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class TruthValue:
     """One of k evenly spaced truth values kappa/(k-1)."""
@@ -194,7 +203,7 @@ def determinize(values: Sequence[Rational]) -> tuple[int, ...]:
     """Round each component to a classical truth value; ties at 1/2 go to 1."""
     out = []
     for v in values:
-        f = Fraction(v)
+        f = as_fraction(v)
         if not ZERO <= f <= ONE:
             raise ValueError(f"component {f} outside [0, 1]")
         out.append(1 if f >= HALF else 0)
@@ -209,7 +218,7 @@ class ProbabilisticAssignment:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(as_fraction(v) for v in self.values)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if len(values) != self.n:
@@ -231,7 +240,7 @@ class Distribution:
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 2:
             raise ValueError(f"need n >= 1 and k >= 2, got n={self.n} k={self.k}")
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(as_fraction(w) for w in self.weights)
         if len(weights) != self.k**self.n:
             raise ValueError(
                 f"expected {self.k ** self.n} weights, got {len(weights)}"
@@ -265,12 +274,12 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
+        lo = as_fraction(self.lo)
+        hi = as_fraction(self.hi)
         if lo > hi:
             raise ValueError(f"interval lower {lo} exceeds upper {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     def __contains__(self, value: Rational) -> bool:
-        return self.lo <= Fraction(value) <= self.hi
+        return self.lo <= as_fraction(value) <= self.hi

@@ -28,6 +28,7 @@ from .model import (
     Distribution,
     Interval,
     ProbabilisticAssignment,
+    as_fraction,
     enumerate_assignments,
     eval_clause,
 )
@@ -47,7 +48,7 @@ class ClauseProbabilityTarget:
     bounds: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        bounds = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.bounds)
+        bounds = tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in self.bounds)
         if not bounds:
             raise ValueError("no clause bounds")
         for lo, hi in bounds:
@@ -57,7 +58,7 @@ class ClauseProbabilityTarget:
 
     @classmethod
     def exact(cls, values: Sequence[Rational]) -> ClauseProbabilityTarget:
-        return cls(tuple((Fraction(v), Fraction(v)) for v in values))
+        return cls(tuple((v, v) for v in values))
 
     @classmethod
     def certain(cls, m: int) -> ClauseProbabilityTarget:
@@ -82,17 +83,16 @@ class FiberVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
 
 
 @dataclass(frozen=True)
 class PsatInstance:
-    """A form, per-clause expectation bounds, and an optional objective clause."""
+    """A form with per-clause expectation bounds on the k-valued truth scale."""
 
     form: ConjunctiveForm
     k: int = 2
     target: ClauseProbabilityTarget | None = None
-    objective: Clause | None = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -107,23 +107,34 @@ class PsatInstance:
         object.__setattr__(self, "target", target)
 
 
-def _zeros(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
 def _expectation_problem(
-    matrix: RationalMatrix,
-    lower: Sequence[Fraction],
-    upper: Sequence[Fraction],
-    objective: Sequence[Fraction] | None = None,
+    matrix: RationalMatrix, lower: Sequence[Fraction], upper: Sequence[Fraction]
 ) -> LpProblem:
+    """Zero-objective LP over distributions u with lower <= matrix . u <= upper."""
     return LpProblem(
         num_vars=matrix.cols,
-        objective=tuple(objective) if objective is not None else _zeros(matrix.cols),
-        rows=tuple(matrix.row(i) for i in range(matrix.rows)),
+        objective=(ZERO,) * matrix.cols,
+        rows=matrix.to_rows(),
         row_lower=tuple(lower),
         row_upper=tuple(upper),
     )
+
+
+def clause_problem(
+    form: ConjunctiveForm,
+    target: ClauseProbabilityTarget,
+    k: int = 2,
+    max_columns: int = SOLVE_COLUMN_GUARD,
+) -> LpProblem:
+    """Zero-objective LP over distributions whose clause expectations meet the target.
+
+    Its rows are the clause value matrix; callers add an objective with
+    `LpProblem.with_objective`.
+    """
+    if len(target.bounds) != form.m:
+        raise ValueError(f"{len(target.bounds)} bounds for {form.m} clauses")
+    v = clause_value_matrix(form, k, max_columns)
+    return _expectation_problem(v, target.lower, target.upper)
 
 
 def clause_truth_vector(
@@ -184,10 +195,7 @@ def psat(
     max_columns: int = SOLVE_COLUMN_GUARD,
 ) -> tuple[bool, Distribution | None]:
     """Is some distribution's clause-expectation vector within the target bounds?"""
-    if len(target.bounds) != form.m:
-        raise ValueError(f"{len(target.bounds)} bounds for {form.m} clauses")
-    v = clause_value_matrix(form, k, max_columns)
-    outcome = lp_feasible(_expectation_problem(v, target.lower, target.upper))
+    outcome = lp_feasible(clause_problem(form, target, k, max_columns))
     if not outcome.is_optimal:
         return False, None
     return True, Distribution(form.n, k, outcome.witness)
@@ -214,11 +222,9 @@ def entail(
     max_columns: int = SOLVE_COLUMN_GUARD,
 ) -> Interval:
     """Exact range of the goal clause expectation, constrained by the base targets."""
-    if len(target.bounds) != form.m:
-        raise ValueError(f"{len(target.bounds)} bounds for {form.m} clauses")
-    v = clause_value_matrix(form, k, max_columns)
+    base = clause_problem(form, target, k, max_columns)
     z = clause_truth_vector(goal, form.n, k, max_columns)
-    return lp_optimize_both(_expectation_problem(v, target.lower, target.upper, z))
+    return lp_optimize_both(base.with_objective(z))
 
 
 def opt_psat(
@@ -229,61 +235,44 @@ def opt_psat(
     max_columns: int = SOLVE_COLUMN_GUARD,
 ) -> LpOutcome:
     """Minimize a linear functional of the distribution under the target bounds."""
-    if len(target.bounds) != form.m:
-        raise ValueError(f"{len(target.bounds)} bounds for {form.m} clauses")
-    v = clause_value_matrix(form, k, max_columns)
+    base = clause_problem(form, target, k, max_columns)
     if isinstance(objective, Clause):
-        z: Sequence[Fraction] = clause_truth_vector(objective, form.n, k, max_columns)
-    else:
-        z = tuple(Fraction(c) for c in objective)
-        if len(z) != v.cols:
-            raise ValueError(f"objective length {len(z)} != column count {v.cols}")
-    return lp_solve(_expectation_problem(v, target.lower, target.upper, z))
+        objective = clause_truth_vector(objective, form.n, k, max_columns)
+    return lp_solve(base.with_objective(objective))
 
 
-def _fiber_parts(u0: Distribution, w, max_columns: int):
+def _fiber_shift(
+    u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int
+) -> tuple[Fraction, ...] | None:
+    """The weight change K . w of the kernel move w, or None when the move is invalid.
+
+    A valid move keeps the total mass, sum(K . w) = (1^T K) . w = 0, and keeps
+    every shifted weight of u0 nonnegative.
+    """
     kernel = kernel_basis_matrix(u0.n, u0.k, max_columns)
-    values = w.values if isinstance(w, FiberVector) else tuple(Fraction(v) for v in w)
+    values = (w if isinstance(w, FiberVector) else FiberVector(w)).values
     if len(values) != kernel.cols:
         raise ValueError(f"fiber vector length {len(values)} != {kernel.cols}")
-    return kernel, values
+    shift = kernel.mul_vec(values)
+    if sum(shift) != 0 or any(u + d < 0 for u, d in zip(u0.weights, shift)):
+        return None
+    return shift
 
 
 def fiber_contains(
     u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int = SOLVE_COLUMN_GUARD
 ) -> bool:
-    """Does the kernel move w keep u0 a distribution with the same expectations?
-
-    Orthogonality to the kernel column sums preserves total mass; the shifted
-    weights must also stay nonnegative.
-    """
-    kernel, values = _fiber_parts(u0, w, max_columns)
-    sums = [ZERO] * kernel.cols
-    pos = 0
-    for _ in range(kernel.rows):
-        for j in range(kernel.cols):
-            e = kernel.entries[pos]
-            if e != 0:
-                sums[j] += e
-            pos += 1
-    mass_shift = ZERO
-    for s, v in zip(sums, values):
-        if s != 0 and v != 0:
-            mass_shift += s * v
-    if mass_shift != 0:
-        return False
-    shift = kernel.mul_vec(values)
-    return all(u + d >= 0 for u, d in zip(u0.weights, shift))
+    """Does the kernel move w keep u0 a distribution with the same expectations?"""
+    return _fiber_shift(u0, w, max_columns) is not None
 
 
 def fiber_translate(
     u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int = SOLVE_COLUMN_GUARD
 ) -> Distribution:
     """Move u0 along the kernel by w; valid moves give a distribution with equal expectations."""
-    if not fiber_contains(u0, w, max_columns):
+    shift = _fiber_shift(u0, w, max_columns)
+    if shift is None:
         raise ValueError("fiber vector leaves the distribution set")
-    kernel, values = _fiber_parts(u0, w, max_columns)
-    shift = kernel.mul_vec(values)
     return Distribution(
         u0.n, u0.k, tuple(u + d for u, d in zip(u0.weights, shift))
     )
@@ -317,25 +306,22 @@ def psat_feasible_set_dim(
     column count minus the rank of that system. Raises InfeasibleError on an
     empty polytope.
     """
-    if len(target.bounds) != form.m:
-        raise ValueError(f"{len(target.bounds)} bounds for {form.m} clauses")
-    v = clause_value_matrix(form, k, max_columns)
-    base = _expectation_problem(v, target.lower, target.upper)
+    base = clause_problem(form, target, k, max_columns)
     if not lp_feasible(base).is_optimal:
         raise InfeasibleError("empty witness polytope has no dimension")
-    equalities: list[list[Fraction]] = [[ONE] * v.cols]
-    for i in range(v.rows):
-        row = list(v.row(i))
+    cols = base.num_vars
+    equalities: list[Sequence[Fraction]] = [[ONE] * cols]
+    for row in base.rows:
         low = lp_solve(base.with_objective(row)).value
         high = -lp_solve(base.with_objective([-e for e in row])).value
         if low == high:
             equalities.append(row)
-    for j in range(v.cols):
-        drive = [ZERO] * v.cols
+    for j in range(cols):
+        drive = [ZERO] * cols
         drive[j] = -ONE
         top = -lp_solve(base.with_objective(drive)).value
         if top == 0:
-            unit = [ZERO] * v.cols
+            unit = [ZERO] * cols
             unit[j] = ONE
             equalities.append(unit)
-    return v.cols - linalg.rank(equalities)
+    return cols - linalg.rank(equalities)

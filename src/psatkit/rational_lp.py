@@ -20,17 +20,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfeasibleError, UnboundedError
-from .model import Interval
+from .model import Interval, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-
-
-def _frac_tuple(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -45,10 +41,10 @@ class LpProblem:
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise ValueError(f"need at least one variable, got {self.num_vars}")
-        objective = _frac_tuple(self.objective)
-        rows = tuple(_frac_tuple(r) for r in self.rows)
-        lower = _frac_tuple(self.row_lower)
-        upper = _frac_tuple(self.row_upper)
+        objective = tuple(as_fraction(v) for v in self.objective)
+        rows = tuple(tuple(as_fraction(v) for v in r) for r in self.rows)
+        lower = tuple(as_fraction(v) for v in self.row_lower)
+        upper = tuple(as_fraction(v) for v in self.row_upper)
         if len(objective) != self.num_vars:
             raise ValueError(f"objective length {len(objective)} != {self.num_vars}")
         if not len(rows) == len(lower) == len(upper):
@@ -67,7 +63,7 @@ class LpProblem:
     def with_objective(self, objective: Sequence[Fraction]) -> LpProblem:
         return LpProblem(
             self.num_vars,
-            _frac_tuple(objective),
+            objective,
             self.rows,
             self.row_lower,
             self.row_upper,
