@@ -48,7 +48,6 @@ from .model import (
     Distribution,
     Interval,
     ProbabilisticAssignment,
-    as_fraction,
 )
 from .problems import (
     ClauseProbabilityTarget,
@@ -270,8 +269,8 @@ def render(result, fmt: str = "text") -> str:
         return str(result) if fmt == "text" else _dumps(str(result))
     if isinstance(result, (tuple, list)):
         if fmt == "text":
-            return " ".join(str(as_fraction(v)) for v in result)
-        return _dumps([str(as_fraction(v)) for v in result])
+            return " ".join(str(Fraction(v)) for v in result)
+        return _dumps([str(Fraction(v)) for v in result])
     raise TypeError(f"cannot render {type(result).__name__}")
 
 
