@@ -30,7 +30,8 @@ def _rref(rows: Sequence[Row]) -> dict[int, dict[int, Fraction]]:
     """
     pivots: dict[int, dict[int, Fraction]] = {}
 
-    def subtract(row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]) -> None:
+    def subtract(row, factor, pivot) -> None:
+        """row -= factor * pivot, dropping the entries that become zero."""
         for j, v in pivot.items():
             new = row.get(j, ZERO) - factor * v
             if new:
