@@ -311,25 +311,25 @@ def _load_instance(path: str) -> PsatInstance:
     return parse(Path(path).read_text())
 
 
-def _print_witness(dist: Distribution, out) -> None:
-    for j, w in dist.support():
-        print(f"witness {j} {w}", file=out)
+def _print_status(status: str, witness: Distribution | None, as_json: bool, out) -> None:
+    """Print a decision's status word, then the witness support when there is one."""
+    if as_json:
+        payload = {"status": status}
+        if witness is not None:
+            payload["witness"] = _support_json(witness)
+        print(_dumps(payload), file=out)
+        return
+    print(status, file=out)
+    if witness is not None:
+        for j, w in witness.support():
+            print(f"witness {j} {w}", file=out)
 
 
 def _cmd_solve(args, out, err) -> int:
     limit = _guard(args, err, SOLVE_COLUMN_GUARD)
     instance = _load_instance(args.file)
     decision, witness = psat(instance.form, instance.target, instance.k, limit)
-    if args.json:
-        payload = {"status": "feasible" if decision else "infeasible"}
-        if witness is not None:
-            payload["witness"] = _support_json(witness)
-        print(_dumps(payload), file=out)
-    elif decision:
-        print("feasible", file=out)
-        _print_witness(witness, out)
-    else:
-        print("infeasible", file=out)
+    _print_status(_feas(decision), witness, args.json, out)
     return EXIT_FEASIBLE if decision else EXIT_INFEASIBLE
 
 
@@ -340,16 +340,7 @@ def _cmd_coherence(args, out, err) -> int:
     values = _parse_vector(text)
     x = ProbabilisticAssignment(len(values), values)
     decision, witness = coherence(x, args.k, limit)
-    if args.json:
-        payload = {"status": "coherent" if decision else "incoherent"}
-        if witness is not None:
-            payload["witness"] = _support_json(witness)
-        print(_dumps(payload), file=out)
-    elif decision:
-        print("coherent", file=out)
-        _print_witness(witness, out)
-    else:
-        print("incoherent", file=out)
+    _print_status("coherent" if decision else "incoherent", witness, args.json, out)
     return EXIT_FEASIBLE if decision else EXIT_INFEASIBLE
 
 
@@ -360,10 +351,7 @@ def _cmd_entail(args, out, err) -> int:
     try:
         interval = entail(instance.form, instance.target, goal, instance.k, limit)
     except InfeasibleError:
-        if args.json:
-            print(_dumps({"status": "infeasible"}), file=out)
-        else:
-            print("infeasible", file=out)
+        _print_status("infeasible", None, args.json, out)
         return EXIT_INFEASIBLE
     print(render(interval, "json" if args.json else "text"), file=out)
     return EXIT_FEASIBLE
@@ -373,10 +361,7 @@ def _cmd_sat(args, out, err) -> int:
     limit = _guard(args, err, SOLVE_COLUMN_GUARD)
     instance = _load_instance(args.file)
     decision = sat_via_psat(instance.form, instance.k, limit)
-    if args.json:
-        print(_dumps({"status": "satisfiable" if decision else "infeasible"}), file=out)
-    else:
-        print("satisfiable" if decision else "infeasible", file=out)
+    _print_status("satisfiable" if decision else "infeasible", None, args.json, out)
     return EXIT_FEASIBLE if decision else EXIT_INFEASIBLE
 
 
@@ -514,29 +499,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
+        if getattr(args, "handler", None) is None:
+            raise _UsageError("no command given (try --help)")
+        return args.handler(args, out, err)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    if getattr(args, "handler", None) is None:
-        print("error: no command given (try --help)", file=err)
-        return EXIT_USAGE
-    try:
-        return args.handler(args, out, err)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
     except SizeGuardError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_GUARD
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

@@ -179,33 +179,40 @@ def weight_permutation(
     return WeightPermutation(n, k, tuple(a.index for a in sorted(assigns, key=key)))
 
 
+def _kernel_columns(n: int, k: int, max_columns: int):
+    """Nonzero (row, value) pairs of each kernel basis column, in column order."""
+    perm = weight_permutation(n, k, max_columns).perm
+    scale = Fraction(1, k - 1)
+    for a in (perm[0], *perm[n + 1 :]):
+        column = [(a, scale)]
+        rest, place = a, 1
+        while rest:
+            rest, digit = divmod(rest, k)
+            if digit:
+                column.append((place, -digit * scale))
+            place *= k
+        yield column
+
+
 def kernel_basis_matrix(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> RationalMatrix:
     """k**n x (k**n - n) generator of the kernel of the assignment matrix.
 
-    Built blockwise in weight order: a lone 1/(k-1) entry for the zero
-    assignment, the negated tail columns of the weight-ordered assignment
-    matrix across the identity-block rows, and a scaled identity below. Rows
-    are returned in canonical assignment order.
+    Column c belongs to assignment a = (perm[0], *perm[n+1:])[c] of
+    `weight_permutation(n, k).perm`: the zero assignment, then every
+    assignment after the n unit assignments k^i. The column is
+    (e_a - sum_i a_i e_{k^i}) / (k - 1), where a_i are the base-k digits of a
+    and rows are in canonical assignment order. W sends both e_a and
+    sum_i a_i e_{k^i} to the digit values of a, so it annihilates the column.
     """
     count = check_columns(n, k, max_columns)
-    if count - n < 1:
-        raise ValueError(f"no kernel columns at n={n}, k={k}")
-    wp = weight_permutation(n, k, max_columns)
-    w_ordered = wp.apply_columns(assignment_matrix(n, k, max_columns))
-    scale = Fraction(1, k - 1)
     width = count - n
-    tail = width - 1  # columns of weight >= 2 (plus high-digit weight-1 ones for k > 2)
-    rows: list[list[Fraction]] = []
-    rows.append([scale] + [ZERO] * tail)
-    for i in range(n):
-        rows.append([ZERO] + [-w_ordered.entry(i, n + 1 + c) for c in range(tail)])
-    for t in range(tail):
-        row = [ZERO] * width
-        row[1 + t] = scale
-        rows.append(row)
-    return wp.restore_rows(RationalMatrix.from_rows(rows))
+    entries = [ZERO] * (count * width)
+    for c, column in enumerate(_kernel_columns(n, k, max_columns)):
+        for row, value in column:
+            entries[row * width + c] = value
+    return RationalMatrix(count, width, tuple(entries))
 
 
 def kernel_column_sums_formula(
@@ -226,17 +233,10 @@ def kernel_column_sums_formula(
 def kernel_column_sums(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> tuple[Fraction, ...]:
-    """Column sums of the kernel basis matrix, computed, valid for any k."""
-    kernel = kernel_basis_matrix(n, k, max_columns)
-    sums = [ZERO] * kernel.cols
-    pos = 0
-    for _ in range(kernel.rows):
-        for j in range(kernel.cols):
-            e = kernel.entries[pos]
-            if e != 0:
-                sums[j] += e
-            pos += 1
-    return tuple(sums)
+    """Column sums of the kernel basis matrix, read from its column rule, for any k."""
+    return tuple(
+        sum(value for _, value in column) for column in _kernel_columns(n, k, max_columns)
+    )
 
 
 def clause_value_matrix(

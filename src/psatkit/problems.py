@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import linalg
-from .errors import InfeasibleError, SOLVE_COLUMN_GUARD
+from .errors import InfeasibleError, SOLVE_COLUMN_GUARD, check_columns
 from .matrices import (
     RationalMatrix,
     assignment_matrix,
@@ -283,13 +283,19 @@ def kernel_containment(
 ) -> bool:
     """Do all expectation-preserving moves also preserve clause expectations?
 
-    True exactly when the clause value matrix annihilates the kernel basis.
-    Any clause satisfied by the all-zeros assignment breaks it: the kernel
-    contains the unit vector on that assignment.
+    The moves span the kernel of the classical assignment matrix W, so this
+    asks whether V . K = 0 for the clause value matrix V: whether every clause
+    row lies in the row space of W, that is, whether every clause value is
+    linear in the bits. That holds exactly when every clause is one positive
+    literal. A negated literal gives 1 at the all-zeros assignment, where a
+    linear function is 0; two positive literals on X_i and X_j give 1, not 2,
+    at e_i + e_j.
     """
-    v = clause_value_matrix(form, 2, max_columns)
-    kernel = kernel_basis_matrix(form.n, 2, max_columns)
-    return v.matmul(kernel).is_zero()
+    check_columns(form.n, 2, max_columns)
+    return all(
+        len(clause.literals) == 1 and not clause.literals[0].negated
+        for clause in form.clauses
+    )
 
 
 def psat_feasible_set_dim(

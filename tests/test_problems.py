@@ -10,8 +10,10 @@ from psatkit import (
     Distribution,
     FiberVector,
     InfeasibleError,
+    Literal,
     ProbabilisticAssignment,
     PsatInstance,
+    SizeGuardError,
     assignment_matrix,
     clause_truth_vector,
     clause_value_matrix,
@@ -22,6 +24,7 @@ from psatkit import (
     expected_bias,
     fiber_contains,
     fiber_translate,
+    kernel_basis_matrix,
     kernel_containment,
     opt_psat,
     psat,
@@ -99,15 +102,19 @@ class TestCoherence:
         assert assignment_matrix(2).mul_vec(u.weights) == x.values
 
     def test_every_unit_box_point_is_coherent(self):
+        # a product of per-variable {0, 1} mixtures realizes x for every k,
+        # so the LP must find a witness on every scale
         rng = random.Random(29)
         for _ in range(40):
             n = rng.randint(1, 4)
+            k = rng.choice((2, 3, 4))
             x = ProbabilisticAssignment(
                 n, tuple(random_unit_fraction(rng) for _ in range(n))
             )
-            ok, u = coherence(x)
-            assert ok
-            assert assignment_matrix(n).mul_vec(u.weights) == x.values
+            ok, u = coherence(x, k)
+            assert ok, (x, k)
+            assert u.k == k
+            assert assignment_matrix(n, k).mul_vec(u.weights) == x.values
 
     def test_totality_holds_up_to_eight_variables(self):
         rng = random.Random(73)
@@ -476,6 +483,35 @@ class TestKernelContainment:
                 found += 1
                 assert not kernel_containment(form)
         assert found > 10
+
+    def test_matches_the_dense_product_on_random_forms(self):
+        # literals drawn with replacement, so clauses repeat variables and
+        # hold complementary pairs
+        rng = random.Random(53)
+        answers = []
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            clauses = []
+            for _ in range(rng.randint(1, 4)):
+                width = rng.randint(1, 3)
+                clauses.append(
+                    Clause(
+                        tuple(
+                            Literal(rng.randrange(n), rng.random() < 0.3)
+                            for _ in range(width)
+                        )
+                    )
+                )
+            form = ConjunctiveForm(n, tuple(clauses))
+            dense = clause_value_matrix(form, 2).matmul(kernel_basis_matrix(n, 2))
+            answers.append(kernel_containment(form))
+            assert answers[-1] == dense.is_zero(), form
+        assert answers.count(True) > 20 and answers.count(False) > 20
+
+    def test_guard(self):
+        form = ConjunctiveForm.from_dimacs(17, ((17,),))
+        with pytest.raises(SizeGuardError):
+            kernel_containment(form)
 
 
 class TestFeasibleSetDim:
