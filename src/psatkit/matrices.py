@@ -164,19 +164,26 @@ def bias_matrix(n: int, max_columns: int = SOLVE_COLUMN_GUARD) -> RationalMatrix
     return RationalMatrix(w.rows, w.cols, tuple(TWO * e - ONE for e in w.entries))
 
 
+def _nonzero_digits(a: int, k: int):
+    """(k**i, digit) for each nonzero base-k digit of a, lowest place first."""
+    place = 1
+    while a:
+        a, digit = divmod(a, k)
+        if digit:
+            yield place, digit
+        place *= k
+
+
 def weight_permutation(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> WeightPermutation:
-    assigns = enumerate_assignments(n, k, max_columns)
+    count = check_columns(n, k, max_columns)
+    units = {k**i for i in range(n)}
 
-    def key(a):
-        w = a.weight
-        if w == 1:
-            kappa = next(d.kappa for d in a.digits if d.kappa != 0)
-            return (1, 0 if kappa == 1 else 1, a.index)
-        return (w, 0, a.index)
+    def key(a: int):
+        return (sum(1 for _ in _nonzero_digits(a, k)), a not in units, a)
 
-    return WeightPermutation(n, k, tuple(a.index for a in sorted(assigns, key=key)))
+    return WeightPermutation(n, k, tuple(sorted(range(count), key=key)))
 
 
 def _kernel_columns(n: int, k: int, max_columns: int):
@@ -184,14 +191,7 @@ def _kernel_columns(n: int, k: int, max_columns: int):
     perm = weight_permutation(n, k, max_columns).perm
     scale = Fraction(1, k - 1)
     for a in (perm[0], *perm[n + 1 :]):
-        column = [(a, scale)]
-        rest, place = a, 1
-        while rest:
-            rest, digit = divmod(rest, k)
-            if digit:
-                column.append((place, -digit * scale))
-            place *= k
-        yield column
+        yield [(a, scale), *((place, -digit * scale) for place, digit in _nonzero_digits(a, k))]
 
 
 def kernel_basis_matrix(

@@ -9,6 +9,7 @@ distributions sharing an expectation vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -152,8 +153,8 @@ def coherence(
 ) -> tuple[bool, Distribution | None]:
     """Does some distribution realize the expectation vector x exactly?
 
-    Always satisfiable for k=2 (the unit cube is the hull of its vertices);
-    the decision is still solved, producing a basic witness.
+    x is coherent for every k >= 2 (a product of per-variable {0, 1} mixtures
+    realizes it); the decision is still solved, producing a basic witness.
     """
     w = assignment_matrix(x.n, k, max_columns)
     outcome = lp_feasible(_expectation_problem(w, x.values, x.values))
@@ -306,28 +307,24 @@ def psat_feasible_set_dim(
 ) -> int:
     """Affine dimension of the witness polytope at the given target.
 
-    Uses the implicit-equality characterization: the affine hull is cut out by
-    the total-mass row, every clause row whose expectation is constant across
-    the polytope, and every coordinate forced to zero; the dimension is the
-    column count minus the rank of that system. Raises InfeasibleError on an
-    empty polytope.
+    Assignments with equal clause-value columns form a class. Mass moves freely
+    inside a class, so the polytope is the polytope of class masses times one
+    simplex per class whose mass can be positive, each adding |class| - 1. The
+    class polytope's affine hull is cut out by the total-mass row and every
+    clause row or class mass whose range is a single point: a functional
+    constant on the polytope lies in the row space of its implicit equalities,
+    so a mass fixed at a positive value adds no rank. Raises InfeasibleError on
+    an empty polytope.
     """
     base = clause_problem(form, target, k, max_columns)
-    if not lp_feasible(base).is_optimal:
+    classes = Counter(zip(*base.rows))
+    c = len(classes)
+    problem = LpProblem(c, (ZERO,) * c, tuple(zip(*classes)), base.row_lower, base.row_upper)
+    if not lp_feasible(problem).is_optimal:
         raise InfeasibleError("empty witness polytope has no dimension")
-    cols = base.num_vars
-    equalities: list[Sequence[Fraction]] = [[ONE] * cols]
-    for row in base.rows:
-        low = lp_solve(base.with_objective(row)).value
-        high = -lp_solve(base.with_objective([-e for e in row])).value
-        if low == high:
-            equalities.append(row)
-    for j in range(cols):
-        drive = [ZERO] * cols
-        drive[j] = -ONE
-        top = -lp_solve(base.with_objective(drive)).value
-        if top == 0:
-            unit = [ZERO] * cols
-            unit[j] = ONE
-            equalities.append(unit)
-    return cols - linalg.rank(equalities)
+    units = [tuple(ONE if i == j else ZERO for i in range(c)) for j in range(c)]
+    functionals = (*problem.rows, *units)
+    spans = [lp_optimize_both(problem.with_objective(f)) for f in functionals]
+    equalities = [(ONE,) * c, *(f for f, span in zip(functionals, spans) if span.lo == span.hi)]
+    free = sum(size - 1 for size, mass in zip(classes.values(), spans[form.m :]) if mass.hi > 0)
+    return c + free - linalg.rank(equalities)

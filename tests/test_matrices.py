@@ -12,6 +12,7 @@ from psatkit import (
     assignment_matrix,
     bias_matrix,
     clause_value_matrix,
+    enumerate_assignments,
     expected_bias,
     kernel_basis_matrix,
     kernel_column_sums,
@@ -146,6 +147,21 @@ class TestWeightPermutation:
         for n, k in ((5, 2), (3, 3)):
             perm = weight_permutation(n, k).perm
             assert sorted(perm) == list(range(k**n))
+
+    def test_matches_the_docstring_rule_on_assignments(self):
+        # weight first; among weight-1 columns the kappa=1 digits lead; then index
+        def key(a):
+            if a.weight == 1:
+                kappa = next(d.kappa for d in a.digits if d.kappa != 0)
+                return (1, 0 if kappa == 1 else 1, a.index)
+            return (a.weight, 0, a.index)
+
+        for k in (2, 3, 4, 5):
+            n = 1
+            while k**n <= 4096:
+                expected = tuple(a.index for a in sorted(enumerate_assignments(n, k), key=key))
+                assert weight_permutation(n, k).perm == expected, (n, k)
+                n += 1
 
     def test_apply_columns_reorders(self):
         w = assignment_matrix(3)

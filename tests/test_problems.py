@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from psatkit import linalg, problems, rational_lp
 from psatkit import (
     Clause,
     ClauseProbabilityTarget,
@@ -26,11 +27,14 @@ from psatkit import (
     fiber_translate,
     kernel_basis_matrix,
     kernel_containment,
+    lp_feasible,
+    lp_solve,
     opt_psat,
     psat,
     psat_feasible_set_dim,
     sat_via_psat,
 )
+from psatkit.problems import clause_problem
 from psatkit.oracle import exhaustive_sat
 from conftest import random_form, random_unit_fraction
 
@@ -548,3 +552,75 @@ class TestFeasibleSetDim:
         loose = ClauseProbabilityTarget(((F(1, 2), 1), (F(1, 2), 1)))
         tight = ClauseProbabilityTarget.exact((F(7, 10), F(4, 5)))
         assert psat_feasible_set_dim(form, tight) <= psat_feasible_set_dim(form, loose)
+
+    def test_matches_the_per_assignment_reference(self):
+        rng = random.Random(10)
+        infeasible = 0
+        for _ in range(200):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(1, {2: 4, 3: 3, 4: 2}[k])
+            m = rng.randint(1, 4)
+            form = random_form(rng, n, m)
+            kind = rng.choice(("exact", "interval", "unit", "infeasible"))
+            if kind == "exact":
+                target = ClauseProbabilityTarget.exact(
+                    [random_unit_fraction(rng, 4) for _ in range(m)]
+                )
+            elif kind == "interval":
+                target = ClauseProbabilityTarget(
+                    tuple(
+                        tuple(sorted((random_unit_fraction(rng, 4), random_unit_fraction(rng, 4))))
+                        for _ in range(m)
+                    )
+                )
+            elif kind == "unit":
+                target = ClauseProbabilityTarget(((0, 1),) * m)
+            else:
+                target = ClauseProbabilityTarget.exact([rng.choice((0, 1)) for _ in range(m)])
+            try:
+                expected = per_assignment_dim(form, target, k)
+            except InfeasibleError:
+                infeasible += 1
+                with pytest.raises(InfeasibleError, match="empty witness polytope"):
+                    psat_feasible_set_dim(form, target, k)
+                continue
+            assert psat_feasible_set_dim(form, target, k) == expected, (form, target, k)
+        assert 20 <= infeasible <= 180
+
+    def test_lp_count_follows_column_classes(self, monkeypatch):
+        calls = []
+
+        def counted(problem):
+            calls.append(problem.num_vars)
+            return lp_solve(problem)
+
+        monkeypatch.setattr(rational_lp, "lp_solve", counted)
+        monkeypatch.setattr(problems, "lp_solve", counted)
+        form = ConjunctiveForm.from_dimacs(6, ((1, -2), (-1, 2)))
+        target = ClauseProbabilityTarget(((F(1, 4), F(3, 4)), (F(1, 2), 1)))
+        c = len(set(clause_value_matrix(form).transpose().to_rows()))
+        psat_feasible_set_dim(form, target)
+        assert len(calls) <= 1 + 2 * (form.m + c)
+        assert set(calls) == {c}
+
+
+def per_assignment_dim(form, target, k):
+    """Test reference: implicit equalities from one LP per clause row and per assignment."""
+    base = clause_problem(form, target, k)
+    if not lp_feasible(base).is_optimal:
+        raise InfeasibleError("empty witness polytope has no dimension")
+    cols = base.num_vars
+    equalities = [[F(1)] * cols]
+    for row in base.rows:
+        low = lp_solve(base.with_objective(row)).value
+        high = -lp_solve(base.with_objective([-e for e in row])).value
+        if low == high:
+            equalities.append(row)
+    for j in range(cols):
+        drive = [F(0)] * cols
+        drive[j] = F(-1)
+        if -lp_solve(base.with_objective(drive)).value == 0:
+            unit = [F(0)] * cols
+            unit[j] = F(1)
+            equalities.append(unit)
+    return cols - linalg.rank(equalities)
