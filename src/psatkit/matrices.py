@@ -130,24 +130,6 @@ class WeightPermutation:
     k: int
     perm: tuple[int, ...]
 
-    def apply_columns(self, matrix: RationalMatrix) -> RationalMatrix:
-        if matrix.cols != len(self.perm):
-            raise ValueError(f"matrix has {matrix.cols} columns, permutation {len(self.perm)}")
-        rows = [
-            [matrix.entry(i, self.perm[p]) for p in range(len(self.perm))]
-            for i in range(matrix.rows)
-        ]
-        return RationalMatrix.from_rows(rows)
-
-    def restore_rows(self, matrix: RationalMatrix) -> RationalMatrix:
-        """Send row p (weight order) back to canonical row perm[p]."""
-        if matrix.rows != len(self.perm):
-            raise ValueError(f"matrix has {matrix.rows} rows, permutation {len(self.perm)}")
-        rows: list[list[Fraction] | None] = [None] * matrix.rows
-        for p, idx in enumerate(self.perm):
-            rows[idx] = list(matrix.row(p))
-        return RationalMatrix.from_rows(rows)  # type: ignore[arg-type]
-
 
 def assignment_matrix(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD

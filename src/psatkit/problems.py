@@ -18,10 +18,10 @@ from . import linalg
 from .errors import InfeasibleError, SOLVE_COLUMN_GUARD, check_columns
 from .matrices import (
     RationalMatrix,
+    _kernel_columns,
     assignment_matrix,
     bias_matrix,
     clause_value_matrix,
-    kernel_basis_matrix,
 )
 from .model import (
     Clause,
@@ -30,9 +30,10 @@ from .model import (
     Interval,
     ProbabilisticAssignment,
     as_fraction,
-    enumerate_assignments,
-    eval_clause,
 )
+# Not called here: bench/tracing.py patches these names on this module.
+from .matrices import kernel_basis_matrix
+from .model import enumerate_assignments
 from .rational_lp import LpOutcome, LpProblem, lp_feasible, lp_optimize_both, lp_solve
 
 ZERO = Fraction(0)
@@ -144,8 +145,7 @@ def clause_truth_vector(
     """Truth value of the goal clause at every assignment, in canonical order."""
     if goal.max_variable() >= n:
         raise ValueError(f"goal mentions X_{goal.max_variable()} but n={n}")
-    assigns = enumerate_assignments(n, k, max_columns)
-    return tuple(eval_clause(goal, a).value for a in assigns)
+    return clause_value_matrix(ConjunctiveForm(n, (goal,)), k, max_columns).entries
 
 
 def coherence(
@@ -244,17 +244,22 @@ def opt_psat(
 
 def _fiber_shift(
     u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int
-) -> tuple[Fraction, ...] | None:
+) -> list[Fraction] | None:
     """The weight change K . w of the kernel move w, or None when the move is invalid.
 
-    A valid move keeps the total mass, sum(K . w) = (1^T K) . w = 0, and keeps
+    K . w is summed as sum_c w_c * column_c from the kernel column rule, so K is
+    never built. A valid move keeps the total mass, sum(K . w) = 0, and keeps
     every shifted weight of u0 nonnegative.
     """
-    kernel = kernel_basis_matrix(u0.n, u0.k, max_columns)
+    count = check_columns(u0.n, u0.k, max_columns)
     values = (w if isinstance(w, FiberVector) else FiberVector(w)).values
-    if len(values) != kernel.cols:
-        raise ValueError(f"fiber vector length {len(values)} != {kernel.cols}")
-    shift = kernel.mul_vec(values)
+    if len(values) != count - u0.n:
+        raise ValueError(f"fiber vector length {len(values)} != {count - u0.n}")
+    shift = [ZERO] * count
+    for w_c, column in zip(values, _kernel_columns(u0.n, u0.k, max_columns)):
+        if w_c:
+            for row, value in column:
+                shift[row] += w_c * value
     if sum(shift) != 0 or any(u + d < 0 for u, d in zip(u0.weights, shift)):
         return None
     return shift
@@ -310,11 +315,12 @@ def psat_feasible_set_dim(
     Assignments with equal clause-value columns form a class. Mass moves freely
     inside a class, so the polytope is the polytope of class masses times one
     simplex per class whose mass can be positive, each adding |class| - 1. The
-    class polytope's affine hull is cut out by the total-mass row and every
-    clause row or class mass whose range is a single point: a functional
-    constant on the polytope lies in the row space of its implicit equalities,
-    so a mass fixed at a positive value adds no rank. Raises InfeasibleError on
-    an empty polytope.
+    class polytope's affine hull is cut out by the total-mass row, every clause
+    row whose range is a single point, and every class mass whose maximum is 0.
+    A functional constant on the polytope lies in the row space of its implicit
+    equalities, so a mass fixed at a positive value adds no rank and a mass
+    needs only its maximum: 1 + 2m + c LPs over the c classes in all. Raises
+    InfeasibleError on an empty polytope.
     """
     base = clause_problem(form, target, k, max_columns)
     classes = Counter(zip(*base.rows))
@@ -322,9 +328,13 @@ def psat_feasible_set_dim(
     problem = LpProblem(c, (ZERO,) * c, tuple(zip(*classes)), base.row_lower, base.row_upper)
     if not lp_feasible(problem).is_optimal:
         raise InfeasibleError("empty witness polytope has no dimension")
+    spans = [lp_optimize_both(problem.with_objective(row)) for row in problem.rows]
     units = [tuple(ONE if i == j else ZERO for i in range(c)) for j in range(c)]
-    functionals = (*problem.rows, *units)
-    spans = [lp_optimize_both(problem.with_objective(f)) for f in functionals]
-    equalities = [(ONE,) * c, *(f for f, span in zip(functionals, spans) if span.lo == span.hi)]
-    free = sum(size - 1 for size, mass in zip(classes.values(), spans[form.m :]) if mass.hi > 0)
+    highs = [-lp_solve(problem.with_objective(tuple(-e for e in u))).value for u in units]
+    equalities = [
+        (ONE,) * c,
+        *(row for row, span in zip(problem.rows, spans) if span.lo == span.hi),
+        *(u for u, high in zip(units, highs) if high == 0),
+    ]
+    free = sum(size - 1 for size, high in zip(classes.values(), highs) if high > 0)
     return c + free - linalg.rank(equalities)

@@ -163,19 +163,6 @@ class TestWeightPermutation:
                 assert weight_permutation(n, k).perm == expected, (n, k)
                 n += 1
 
-    def test_apply_columns_reorders(self):
-        w = assignment_matrix(3)
-        perm = weight_permutation(3)
-        ordered = perm.apply_columns(w)
-        assert ordered.col(3) == w.col(4)
-        assert ordered.col(4) == w.col(3)
-
-    def test_restore_rows_inverts_column_order(self):
-        w = assignment_matrix(3)
-        perm = weight_permutation(3)
-        ordered_t = perm.apply_columns(w).transpose()
-        assert perm.restore_rows(ordered_t).to_rows() == w.transpose().to_rows()
-
 
 class TestKernelBasis:
     def test_one_variable(self):

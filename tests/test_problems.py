@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from psatkit import linalg, problems, rational_lp
+from psatkit import linalg, matrices, problems, rational_lp
 from psatkit import (
     Clause,
     ClauseProbabilityTarget,
@@ -14,6 +14,7 @@ from psatkit import (
     Literal,
     ProbabilisticAssignment,
     PsatInstance,
+    RationalMatrix,
     SizeGuardError,
     assignment_matrix,
     clause_truth_vector,
@@ -26,6 +27,7 @@ from psatkit import (
     fiber_contains,
     fiber_translate,
     kernel_basis_matrix,
+    kernel_column_sums,
     kernel_containment,
     lp_feasible,
     lp_solve,
@@ -454,6 +456,57 @@ class TestFiber:
         with pytest.raises(ValueError):
             fiber_contains(u0, (0, 0, 0))
 
+    def test_matches_the_dense_kernel_product(self):
+        rng = random.Random(11)
+        kernels = {}
+        valid = 0
+        for _ in range(200):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(1, {2: 8, 3: 5, 4: 4}[k])
+            if (n, k) not in kernels:
+                kernels[n, k] = kernel_basis_matrix(n, k), kernel_column_sums(n, k)
+            kernel, sums = kernels[n, k]
+            size = k**n
+            raw = [rng.randint(0 if rng.random() < 0.5 else 1, 4) for _ in range(size)]
+            raw[rng.randrange(size)] += 1
+            u0 = Distribution(n, k, tuple(F(r, sum(raw)) for r in raw))
+            w = [F(rng.randint(-3, 3), 32) if rng.random() < 0.3 else F(0) for _ in range(kernel.cols)]
+            if rng.random() < 0.8:
+                # rebalance one coefficient so the move keeps the total mass
+                c = rng.choice([c for c, s in enumerate(sums) if s])
+                w[c] -= sum(wc * s for wc, s in zip(w, sums)) / sums[c]
+            shift = kernel.mul_vec(w)
+            moved = tuple(u + d for u, d in zip(u0.weights, shift))
+            ok = sum(shift) == 0 and min(moved) >= 0
+            valid += ok
+            assert fiber_contains(u0, w) == ok, (n, k)
+            if ok:
+                assert fiber_translate(u0, w).weights == moved, (n, k)
+            else:
+                with pytest.raises(ValueError):
+                    fiber_translate(u0, w)
+        assert 20 <= valid <= 180
+
+    def test_moves_build_no_dense_kernel(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense kernel used")
+
+        monkeypatch.setattr(matrices, "kernel_basis_matrix", dense)
+        monkeypatch.setattr(problems, "kernel_basis_matrix", dense)
+        monkeypatch.setattr(RationalMatrix, "mul_vec", dense)
+        u0 = Distribution(2, 2, (F(1, 2), 0, 0, F(1, 2)))
+        assert fiber_translate(u0, (-F(1, 4), -F(1, 4))).weights == (F(1, 4),) * 4
+        assert not fiber_contains(u0, (0, F(1, 4)))
+        u1 = Distribution(1, 3, (F(1, 3),) * 3)
+        assert fiber_contains(u1, (F(1, 6), F(1, 6)))
+
+    def test_zero_move_at_n_14(self):
+        weights = (F(1),) + (F(0),) * (2**14 - 1)
+        u0 = Distribution(14, 2, weights)
+        zero = (0,) * (2**14 - 14)
+        assert fiber_contains(u0, zero)
+        assert fiber_translate(u0, zero).weights == weights
+
 
 class TestKernelContainment:
     def test_false_when_zero_assignment_satisfies_a_clause(self):
@@ -587,7 +640,8 @@ class TestFeasibleSetDim:
             assert psat_feasible_set_dim(form, target, k) == expected, (form, target, k)
         assert 20 <= infeasible <= 180
 
-    def test_lp_count_follows_column_classes(self, monkeypatch):
+    @staticmethod
+    def count_lp_calls(monkeypatch):
         calls = []
 
         def counted(problem):
@@ -596,12 +650,24 @@ class TestFeasibleSetDim:
 
         monkeypatch.setattr(rational_lp, "lp_solve", counted)
         monkeypatch.setattr(problems, "lp_solve", counted)
+        return calls
+
+    def test_lp_count_follows_column_classes(self, monkeypatch):
+        calls = self.count_lp_calls(monkeypatch)
         form = ConjunctiveForm.from_dimacs(6, ((1, -2), (-1, 2)))
         target = ClauseProbabilityTarget(((F(1, 4), F(3, 4)), (F(1, 2), 1)))
         c = len(set(clause_value_matrix(form).transpose().to_rows()))
         psat_feasible_set_dim(form, target)
-        assert len(calls) <= 1 + 2 * (form.m + c)
+        assert len(calls) <= 1 + 2 * form.m + c
         assert set(calls) == {c}
+
+    def test_singleton_classes_take_one_lp_per_mass(self, monkeypatch):
+        # 27 distinct columns: feasibility, min and max of 3 rows, max of 27 masses
+        calls = self.count_lp_calls(monkeypatch)
+        form = ConjunctiveForm.from_dimacs(3, ((1,), (2,), (3,)))
+        target = ClauseProbabilityTarget(((0, 1),) * 3)
+        assert psat_feasible_set_dim(form, target, 3) == 26
+        assert len(calls) == 34
 
 
 def per_assignment_dim(form, target, k):

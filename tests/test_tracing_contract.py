@@ -5,6 +5,7 @@ refactor that renames or stops importing one of them breaks traced benchmark
 runs. This test reads the tracer's tables and fails on such a refactor.
 """
 
+import ast
 import importlib
 import importlib.util
 from fractions import Fraction as F
@@ -16,7 +17,12 @@ from psatkit import ClauseProbabilityTarget, ConjunctiveForm
 from psatkit.problems import clause_problem
 from psatkit.rational_lp import lp_solve
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+MODULES = sorted(
+    path for path in (ROOT / "src" / "psatkit").glob("*.py")
+    if path.stem not in ("__init__", "__main__")
+)
 
 
 def _load_tracing():
@@ -44,6 +50,22 @@ def test_boundary_resolves_to_the_function_its_span_names(module, attr, name):
 @pytest.mark.parametrize("module, cls, attr, name", tracing.METHODS)
 def test_method_resolves(module, cls, attr, name):
     assert callable(getattr(getattr(_psatkit(module), cls), attr))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_every_import_is_used_or_patched(path):
+    # A name imported only for the tracer to patch is listed in BOUNDARIES.
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    patched = {attr for module, attr, _ in tracing.BOUNDARIES if module == path.stem}
+    assert imported - used - patched == set()
 
 
 @pytest.mark.parametrize(
