@@ -291,8 +291,9 @@ def _parse_goal(text: str, n: int) -> Clause:
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    tokens = text.replace(",", " ").split()
-    values = [parse_rational(tok) for tok in tokens if not tok.startswith("c")]
+    """Rationals separated by commas or whitespace; lines starting with "c" are comments."""
+    lines = [line for line in text.splitlines() if not line.strip().startswith("c")]
+    values = [parse_rational(tok) for tok in " ".join(lines).replace(",", " ").split()]
     if not values:
         raise ParseError(0, "empty assignment vector")
     return tuple(values)

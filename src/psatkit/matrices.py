@@ -15,13 +15,9 @@ from math import comb
 from typing import Sequence
 
 from .errors import SOLVE_COLUMN_GUARD, check_columns
-from .model import (
-    ConjunctiveForm,
-    Distribution,
-    as_fraction,
-    enumerate_assignments,
-    eval_clause,
-)
+from .model import ConjunctiveForm, Distribution, as_fraction, index_digits
+# Not called here: bench/tracing.py patches this name on this module.
+from .model import enumerate_assignments
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -134,26 +130,15 @@ class WeightPermutation:
 def assignment_matrix(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> RationalMatrix:
-    """n x k**n matrix whose column j is assignment j as a digit vector."""
-    assigns = enumerate_assignments(n, k, max_columns)
-    rows = [[a.digits[i].value for a in assigns] for i in range(n)]
-    return RationalMatrix.from_rows(rows)
+    """n x k**n digit-value matrix: the clause value matrix of the unit clauses."""
+    check_columns(n, k, max_columns)  # before building n clauses, so a huge n trips at once
+    return clause_value_matrix(ConjunctiveForm.units(n), k, max_columns)
 
 
 def bias_matrix(n: int, max_columns: int = SOLVE_COLUMN_GUARD) -> RationalMatrix:
     """Classical-only rescaling 2W - 1 mapping expectations to biases in [-1, 1]."""
     w = assignment_matrix(n, 2, max_columns)
     return RationalMatrix(w.rows, w.cols, tuple(TWO * e - ONE for e in w.entries))
-
-
-def _nonzero_digits(a: int, k: int):
-    """(k**i, digit) for each nonzero base-k digit of a, lowest place first."""
-    place = 1
-    while a:
-        a, digit = divmod(a, k)
-        if digit:
-            yield place, digit
-        place *= k
 
 
 def weight_permutation(
@@ -163,7 +148,7 @@ def weight_permutation(
     units = {k**i for i in range(n)}
 
     def key(a: int):
-        return (sum(1 for _ in _nonzero_digits(a, k)), a not in units, a)
+        return (sum(1 for d in index_digits(a, n, k) if d), a not in units, a)
 
     return WeightPermutation(n, k, tuple(sorted(range(count), key=key)))
 
@@ -172,8 +157,10 @@ def _kernel_columns(n: int, k: int, max_columns: int):
     """Nonzero (row, value) pairs of each kernel basis column, in column order."""
     perm = weight_permutation(n, k, max_columns).perm
     scale = Fraction(1, k - 1)
+    places = [k**i for i in range(n)]
     for a in (perm[0], *perm[n + 1 :]):
-        yield [(a, scale), *((place, -digit * scale) for place, digit in _nonzero_digits(a, k))]
+        digits = zip(places, index_digits(a, n, k))
+        yield [(a, scale), *((place, -d * scale) for place, d in digits if d)]
 
 
 def kernel_basis_matrix(
@@ -224,9 +211,21 @@ def kernel_column_sums(
 def clause_value_matrix(
     form: ConjunctiveForm, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> RationalMatrix:
-    """m x k**n matrix of clause truth values; entry (i, j) is clause i at assignment j."""
-    assigns = enumerate_assignments(form.n, k, max_columns)
-    rows = [[eval_clause(clause, a).value for a in assigns] for clause in form.clauses]
+    """m x k**n matrix of clause truth values; entry (i, j) is clause i at assignment j.
+
+    A clause's value index is the largest of its literals', where a literal on
+    digit d reads d, or k - 1 - d when negated; the value is that index / (k - 1).
+    """
+    count = check_columns(form.n, k, max_columns)
+    digits = list(zip(*(index_digits(j, form.n, k) for j in range(count))))
+    values = [Fraction(d, k - 1) for d in range(k)]
+    rows = []
+    for clause in form.clauses:
+        literals = [
+            [k - 1 - d for d in digits[lit.variable]] if lit.negated else digits[lit.variable]
+            for lit in clause.literals
+        ]
+        rows.append([values[max(column)] for column in zip(*literals)])
     return RationalMatrix.from_rows(rows)
 
 

@@ -55,6 +55,15 @@ class TruthValue:
         return TruthValue(self.k - 1 - self.kappa, self.k)
 
 
+def index_digits(index: int, n: int, k: int) -> tuple[int, ...]:
+    """The n base-k digits of a canonical assignment index, X_0's digit first."""
+    digits = []
+    for _ in range(n):
+        index, digit = divmod(index, k)
+        digits.append(digit)
+    return tuple(digits)
+
+
 @dataclass(frozen=True)
 class Assignment:
     """k-valued assignment together with its canonical index."""
@@ -70,12 +79,7 @@ class Assignment:
             raise ValueError(f"need n >= 1 and k >= 2, got n={n} k={k}")
         if not 0 <= index < k**n:
             raise ValueError(f"index {index} outside [0, {k ** n - 1}]")
-        digits = []
-        rest = index
-        for _ in range(n):
-            digits.append(TruthValue(rest % k, k))
-            rest //= k
-        return cls(n, k, index, tuple(digits))
+        return cls(n, k, index, tuple(TruthValue(d, k) for d in index_digits(index, n, k)))
 
     def digit_values(self) -> tuple[Fraction, ...]:
         return tuple(d.value for d in self.digits)
@@ -166,6 +170,11 @@ class ConjunctiveForm:
     @classmethod
     def from_dimacs(cls, n: int, clause_codes: Iterable[Iterable[int]]) -> ConjunctiveForm:
         return cls(n, tuple(Clause.from_dimacs(codes) for codes in clause_codes))
+
+    @classmethod
+    def units(cls, n: int) -> ConjunctiveForm:
+        """The n unit clauses X_0 .. X_{n-1}."""
+        return cls.from_dimacs(n, ((i + 1,) for i in range(n)))
 
 
 def enumerate_assignments(

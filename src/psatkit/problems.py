@@ -16,13 +16,7 @@ from typing import Sequence, Union
 
 from . import linalg
 from .errors import InfeasibleError, SOLVE_COLUMN_GUARD, check_columns
-from .matrices import (
-    RationalMatrix,
-    _kernel_columns,
-    assignment_matrix,
-    bias_matrix,
-    clause_value_matrix,
-)
+from .matrices import RationalMatrix, _kernel_columns, bias_matrix, clause_value_matrix
 from .model import (
     Clause,
     ConjunctiveForm,
@@ -30,9 +24,10 @@ from .model import (
     Interval,
     ProbabilisticAssignment,
     as_fraction,
+    index_digits,
 )
 # Not called here: bench/tracing.py patches these names on this module.
-from .matrices import kernel_basis_matrix
+from .matrices import assignment_matrix, kernel_basis_matrix
 from .model import enumerate_assignments
 from .rational_lp import LpOutcome, LpProblem, lp_feasible, lp_optimize_both, lp_solve
 
@@ -154,13 +149,10 @@ def coherence(
     """Does some distribution realize the expectation vector x exactly?
 
     x is coherent for every k >= 2 (a product of per-variable {0, 1} mixtures
-    realizes it); the decision is still solved, producing a basic witness.
+    realizes it); the decision is still solved, producing a basic witness. W is
+    the clause value matrix of the unit clauses, so this is their PSAT at x.
     """
-    w = assignment_matrix(x.n, k, max_columns)
-    outcome = lp_feasible(_expectation_problem(w, x.values, x.values))
-    if not outcome.is_optimal:
-        return False, None
-    return True, Distribution(x.n, k, outcome.witness)
+    return psat(ConjunctiveForm.units(x.n), ClauseProbabilityTarget.exact(x.values), k, max_columns)
 
 
 def coherence_product_witness(x: ProbabilisticAssignment) -> Distribution:
@@ -168,11 +160,8 @@ def coherence_product_witness(x: ProbabilisticAssignment) -> Distribution:
     weights = []
     for index in range(2**x.n):
         w = ONE
-        rest = index
-        for i in range(x.n):
-            bit = rest % 2
-            rest //= 2
-            w *= x.values[i] if bit else ONE - x.values[i]
+        for v, bit in zip(x.values, index_digits(index, x.n, 2)):
+            w *= v if bit else ONE - v
         weights.append(w)
     return Distribution(x.n, 2, tuple(weights))
 

@@ -217,9 +217,10 @@ class TestCommands:
 
     def test_coherence_from_file(self, tmp_path):
         vec = tmp_path / "x.txt"
-        vec.write_text("1/2 1/2\n")
-        code, out, _ = run_cli("coherence", str(vec))
-        assert code == 0 and out.splitlines()[0] == "coherent"
+        for text in ("1/2 1/2\n", "c two marginals\n1/2, 1/2\n"):
+            vec.write_text(text)
+            code, out, _ = run_cli("coherence", str(vec))
+            assert code == 0 and out.splitlines()[0] == "coherent", text
 
     def test_coherence_rejects_bad_component(self):
         code, _, err = run_cli("coherence", "3/2")
@@ -291,11 +292,27 @@ class TestExitCodes:
         code, _, err = run_cli()
         assert code == 2
 
-    def test_guard_exit(self):
+    def test_guard_exit(self, tmp_path):
         code, _, err = run_cli(
             "solve", fixture_path("three.cnf"), "--max-columns", "4"
         )
         assert code == 3 and "guard" in err
+        assert "needs 8 columns" in err
+        # 2^20000 has too many digits to print; 3^300000000 takes minutes to compute.
+        wide = tmp_path / "wide.cnf"
+        wide.write_text("p cnf 20000 1\n1 0\n")
+        code, _, err = run_cli("solve", wide)
+        assert code == 3 and "needs 2^20000 columns" in err
+        huge = tmp_path / "huge.psatk"
+        huge.write_text("p psatk 300000000 1 3\n1 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "psatkit", "solve", str(huge)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=20,
+        )
+        assert proc.returncode == 3 and "needs 3^300000000 columns" in proc.stderr
 
     def test_raising_guard_warns(self):
         code, out, err = run_cli(

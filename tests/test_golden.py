@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, run_cli
+from psatkit.model import Assignment
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 CORPUS_SEED = 20261018
@@ -167,6 +168,20 @@ def test_golden_file_matches_the_case_list():
 def test_golden_output(case, tmp_path):
     got = run_case(case, tmp_path)
     assert (got["exit"], got["stdout"]) == (case["exit"], case["stdout"])
+
+
+def test_solving_paths_build_no_assignment(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise ValueError("Assignment.from_index called")
+
+    monkeypatch.setattr(Assignment, "from_index", refuse)
+    # Every command must give the pinned output without the object model.
+    differing = []
+    for case in _load():
+        got = run_case(case, tmp_path)
+        if (got["exit"], got["stdout"]) != (case["exit"], case["stdout"]):
+            differing.append(case["argv"])
+    assert differing == []
 
 
 def _write() -> None:

@@ -5,14 +5,17 @@ from math import comb
 import pytest
 
 from psatkit import (
+    Clause,
     ConjunctiveForm,
     Distribution,
+    Literal,
     RationalMatrix,
     SizeGuardError,
     assignment_matrix,
     bias_matrix,
     clause_value_matrix,
     enumerate_assignments,
+    eval_clause,
     expected_bias,
     kernel_basis_matrix,
     kernel_column_sums,
@@ -88,6 +91,15 @@ class TestAssignmentMatrix:
         w = assignment_matrix(4)
         for i in range(4):
             assert sum(w.row(i)) == 8
+
+    def test_columns_are_the_assignment_digit_values(self):
+        for k in range(2, 6):
+            n = 1
+            while k**n <= 1024:
+                w = assignment_matrix(n, k, 1024)
+                digits = [a.digit_values() for a in enumerate_assignments(n, k, 1024)]
+                assert w.to_rows() == tuple(zip(*digits)), (n, k)
+                n += 1
 
     def test_guard(self):
         with pytest.raises(SizeGuardError) as info:
@@ -264,3 +276,21 @@ class TestClauseValueMatrix:
                 v = clause_value_matrix(form, kk)
                 scale = {F(i, kk - 1) for i in range(kk)}
                 assert set(v.entries) <= scale
+
+    def test_entries_match_the_object_model(self):
+        # Literals are drawn with replacement, so repeats and complementary pairs occur.
+        rng = random.Random(12)
+        for case in range(300):
+            k = (2, 3, 4)[case % 3]
+            n = rng.randint(1, {2: 8, 3: 5, 4: 4}[k])
+            clauses = []
+            for _ in range(rng.randint(1, 4)):
+                width = rng.randint(1, 3)
+                literals = [Literal(rng.randrange(n), rng.random() < 0.5) for _ in range(width)]
+                clauses.append(Clause(tuple(literals)))
+            form = ConjunctiveForm(n, tuple(clauses))
+            expected = [
+                [eval_clause(clause, a).value for a in enumerate_assignments(n, k)]
+                for clause in clauses
+            ]
+            assert clause_value_matrix(form, k).to_rows() == tuple(map(tuple, expected)), form

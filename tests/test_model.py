@@ -19,6 +19,7 @@ from psatkit import (
     eval_form,
     eval_literal,
 )
+from psatkit.model import index_digits
 from conftest import random_form
 
 
@@ -96,6 +97,12 @@ class TestEnumeration:
         with pytest.raises(SizeGuardError) as info:
             list(enumerate_assignments(20, 2, max_columns=4096))
         assert info.value.count == 2**20
+
+    def test_digits_are_x0_first(self):
+        assert index_digits(5, 4, 2) == (1, 0, 1, 0)
+        assert index_digits(7, 2, 3) == (1, 2)
+        for a in enumerate_assignments(3, 3):
+            assert tuple(d.kappa for d in a.digits) == index_digits(a.index, 3, 3)
 
 
 class TestLiteralsAndClauses:
