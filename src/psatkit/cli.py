@@ -52,14 +52,11 @@ from .model import (
 from .problems import (
     ClauseProbabilityTarget,
     PsatInstance,
-    clause_problem,
-    clause_truth_vector,
     coherence,
     entail,
     psat,
     sat_via_psat,
 )
-from .rational_lp import lp_feasible, lp_optimize_both
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -337,7 +334,7 @@ def _cmd_solve(args, out, err) -> int:
 def _cmd_coherence(args, out, err) -> int:
     limit = _guard(args, err, SOLVE_COLUMN_GUARD)
     source = Path(args.source)
-    text = source.read_text() if source.exists() else args.source
+    text = source.read_text() if source.is_file() else args.source
     values = _parse_vector(text)
     x = ProbabilisticAssignment(len(values), values)
     decision, witness = coherence(x, args.k, limit)
@@ -369,36 +366,22 @@ def _cmd_sat(args, out, err) -> int:
 def _cmd_verify(args, out, err) -> int:
     limit = _guard(args, err, VERIFY_COLUMN_GUARD)
     instance = _load_instance(args.file)
-    form, target = instance.form, instance.target
-    problem = clause_problem(form, target, instance.k, limit)
-    matrix = RationalMatrix.from_rows(problem.rows)
-    lp_decision = lp_feasible(problem).is_optimal
-    try:
-        oracle.support_enumeration_optimize(
-            matrix, target.lower, target.upper, problem.objective, limit
-        )
-        oracle_decision = True
-    except InfeasibleError:
-        oracle_decision = False
-    checks = [("feasibility", _feas(lp_decision), _feas(oracle_decision))]
+    form, target, k = instance.form, instance.target, instance.k
+    # The LP side runs the code of `solve` and `entail`; the oracle side reads V
+    # from the object model. The two share only the parsed instance.
+    lp_decision, _ = psat(form, target, k, limit)
+    matrix = oracle.clause_matrix(form, k, limit)
+    polytope = (matrix, target.lower, target.upper)
+    oracle_range = _range(oracle.support_enumeration_optimize, *polytope, (ZERO,) * matrix.cols, limit)
+    checks = [("feasibility", _feas(lp_decision), _feas(oracle_range != "infeasible"))]
     if target.is_exact():
         hull_decision, _ = oracle.hull_membership(matrix, target.lower, limit)
         checks.append(("hull", _feas(lp_decision), _feas(hull_decision)))
     if args.goal is not None:
         goal = _parse_goal(args.goal, form.n)
-        z = clause_truth_vector(goal, form.n, instance.k, limit)
-        try:
-            lp_side = render(lp_optimize_both(problem.with_objective(z)))
-        except InfeasibleError:
-            lp_side = "infeasible"
-        try:
-            oracle_side = render(
-                oracle.support_enumeration_optimize(
-                    matrix, target.lower, target.upper, z, limit
-                )
-            )
-        except InfeasibleError:
-            oracle_side = "infeasible"
+        z = oracle.clause_matrix(ConjunctiveForm(form.n, (goal,)), k, limit).entries
+        lp_side = _range(entail, form, target, goal, k, limit)
+        oracle_side = _range(oracle.support_enumeration_optimize, *polytope, z, limit)
         checks.append(("entail", lp_side, oracle_side))
     agree = all(lp == orc for _, lp, orc in checks)
     if args.json:
@@ -419,6 +402,14 @@ def _cmd_verify(args, out, err) -> int:
 
 def _feas(decision: bool) -> str:
     return "feasible" if decision else "infeasible"
+
+
+def _range(solve, *args) -> str:
+    """The rendered interval that solve(*args) returns, or "infeasible"."""
+    try:
+        return render(solve(*args))
+    except InfeasibleError:
+        return "infeasible"
 
 
 def _cmd_matrix(args, out, err) -> int:
@@ -455,6 +446,17 @@ def _cmd_matrix(args, out, err) -> int:
     return EXIT_FEASIBLE
 
 
+def _column_guard(text: str) -> int:
+    """A --max-columns value: a column count of at least 1."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise argparse.ArgumentTypeError(f"need a column count of at least 1, got {text!r}")
+    return limit
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -465,7 +467,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(
-        "--max-columns", type=int, metavar="N", help="override the column guard"
+        "--max-columns", type=_column_guard, metavar="N", help="override the column guard"
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     p = sub.add_parser("solve", parents=[common], help="expectation-bound decision plus witness")

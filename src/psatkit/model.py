@@ -265,7 +265,7 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, n: int, k: int, index: int) -> Distribution:
-        count = k**n
+        count = check_columns(n, k, SOLVE_COLUMN_GUARD)
         if not 0 <= index < count:
             raise ValueError(f"index {index} outside [0, {count - 1}]")
         return cls(n, k, tuple(ONE if j == index else ZERO for j in range(count)))

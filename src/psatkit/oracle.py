@@ -38,6 +38,16 @@ def exhaustive_sat(
     return False
 
 
+def clause_matrix(
+    form: ConjunctiveForm, k: int = 2, max_columns: int = VERIFY_COLUMN_GUARD
+) -> RationalMatrix:
+    """Clause value matrix from the object model: clause i evaluated at assignment j."""
+    assignments = enumerate_assignments(form.n, k, max_columns)
+    return RationalMatrix.from_rows(
+        [[eval_clause(clause, a).value for a in assignments] for clause in form.clauses]
+    )
+
+
 def _dedup_columns(matrix: RationalMatrix, tags: Sequence[Fraction]):
     """Merge columns equal as (column, tag) pairs; keeps first original index."""
     seen: dict[tuple, int] = {}

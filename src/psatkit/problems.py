@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 from . import linalg
 from .errors import InfeasibleError, SOLVE_COLUMN_GUARD, check_columns
-from .matrices import RationalMatrix, _kernel_columns, bias_matrix, clause_value_matrix
+from .matrices import _kernel_columns, bias_matrix, clause_value_matrix
 from .model import (
     Clause,
     ConjunctiveForm,
@@ -104,34 +104,26 @@ class PsatInstance:
         object.__setattr__(self, "target", target)
 
 
-def _expectation_problem(
-    matrix: RationalMatrix, lower: Sequence[Fraction], upper: Sequence[Fraction]
-) -> LpProblem:
-    """Zero-objective LP over distributions u with lower <= matrix . u <= upper."""
-    return LpProblem(
-        num_vars=matrix.cols,
-        objective=(ZERO,) * matrix.cols,
-        rows=matrix.to_rows(),
-        row_lower=tuple(lower),
-        row_upper=tuple(upper),
-    )
-
-
 def clause_problem(
     form: ConjunctiveForm,
     target: ClauseProbabilityTarget,
     k: int = 2,
     max_columns: int = SOLVE_COLUMN_GUARD,
+    goal: Clause | None = None,
 ) -> LpProblem:
-    """Zero-objective LP over distributions whose clause expectations meet the target.
+    """LP over distributions whose clause expectations meet the target.
 
-    Its rows are the clause value matrix; callers add an objective with
-    `LpProblem.with_objective`.
+    V of the clauses and the goal is built in one pass: its clause rows are the
+    constraints and its goal row is the objective, zero when there is no goal.
     """
     if len(target.bounds) != form.m:
         raise ValueError(f"{len(target.bounds)} bounds for {form.m} clauses")
-    v = clause_value_matrix(form, k, max_columns)
-    return _expectation_problem(v, target.lower, target.upper)
+    if goal is not None and goal.max_variable() >= form.n:
+        raise ValueError(f"goal mentions X_{goal.max_variable()} but n={form.n}")
+    clauses = form.clauses if goal is None else (*form.clauses, goal)
+    v = clause_value_matrix(ConjunctiveForm(form.n, clauses), k, max_columns).to_rows()
+    objective = (ZERO,) * len(v[0]) if goal is None else v[form.m]
+    return LpProblem(len(objective), objective, v[: form.m], target.lower, target.upper)
 
 
 def clause_truth_vector(
@@ -158,7 +150,7 @@ def coherence(
 def coherence_product_witness(x: ProbabilisticAssignment) -> Distribution:
     """Closed-form classical witness: the independent product distribution."""
     weights = []
-    for index in range(2**x.n):
+    for index in range(check_columns(x.n, 2, SOLVE_COLUMN_GUARD)):
         w = ONE
         for v, bit in zip(x.values, index_digits(index, x.n, 2)):
             w *= v if bit else ONE - v
@@ -172,7 +164,7 @@ def coherence_via_bias(
     """Classical coherence stated on biases: solve 2x - 1 against the bias matrix."""
     z = bias_matrix(x.n, max_columns)
     target = tuple(TWO * v - ONE for v in x.values)
-    outcome = lp_feasible(_expectation_problem(z, target, target))
+    outcome = lp_feasible(LpProblem(z.cols, (ZERO,) * z.cols, z.to_rows(), target, target))
     if not outcome.is_optimal:
         return False, None
     return True, Distribution(x.n, 2, outcome.witness)
@@ -212,9 +204,7 @@ def entail(
     max_columns: int = SOLVE_COLUMN_GUARD,
 ) -> Interval:
     """Exact range of the goal clause expectation, constrained by the base targets."""
-    base = clause_problem(form, target, k, max_columns)
-    z = clause_truth_vector(goal, form.n, k, max_columns)
-    return lp_optimize_both(base.with_objective(z))
+    return lp_optimize_both(clause_problem(form, target, k, max_columns, goal))
 
 
 def opt_psat(
@@ -225,10 +215,9 @@ def opt_psat(
     max_columns: int = SOLVE_COLUMN_GUARD,
 ) -> LpOutcome:
     """Minimize a linear functional of the distribution under the target bounds."""
-    base = clause_problem(form, target, k, max_columns)
     if isinstance(objective, Clause):
-        objective = clause_truth_vector(objective, form.n, k, max_columns)
-    return lp_solve(base.with_objective(objective))
+        return lp_solve(clause_problem(form, target, k, max_columns, objective))
+    return lp_solve(clause_problem(form, target, k, max_columns).with_objective(objective))
 
 
 def _fiber_shift(

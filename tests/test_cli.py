@@ -1,11 +1,14 @@
+import ast
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from psatkit import Distribution, Interval, SOLVE_COLUMN_GUARD
+from psatkit import Distribution, Interval, RationalMatrix, SOLVE_COLUMN_GUARD
+from psatkit import cli, matrices, problems
 from psatkit.cli import ParseError, parse, parse_rational, read_psat_file, render
 from conftest import FIXTURES, fixture_path, run_cli, subprocess_env
 
@@ -226,6 +229,11 @@ class TestCommands:
         code, _, err = run_cli("coherence", "3/2")
         assert code == 2 and "error" in err
 
+    def test_coherence_empty_source_is_an_empty_vector(self):
+        # Path("") is the working directory; only a file is read as the source.
+        code, _, err = run_cli("coherence", "")
+        assert code == 2 and "empty assignment vector" in err
+
     def test_coherence_three_valued(self):
         code, out, _ = run_cli("coherence", "1/2", "--k", "3")
         assert code == 0
@@ -242,6 +250,34 @@ class TestCommands:
         )
         assert code == 0
         assert "entail lp=[1/2, 4/5] oracle=[1/2, 4/5]" in out
+
+    def test_verify_catches_a_corrupted_clause_value_matrix(self, monkeypatch):
+        # The solving side reads V's all-ones column as 0; the oracle builds its own V.
+        build = matrices.clause_value_matrix
+
+        def corrupted(*args):
+            v = build(*args)
+            ones = {j for j in range(v.cols) if set(v.col(j)) == {1}}
+            entries = (0 if i % v.cols in ones else e for i, e in enumerate(v.entries))
+            return RationalMatrix(v.rows, v.cols, tuple(entries))
+
+        for module in (matrices, problems):
+            monkeypatch.setattr(module, "clause_value_matrix", corrupted)
+        code, out, _ = run_cli("verify", fixture_path("nilsson.psat"), "--goal", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "feasibility lp=infeasible oracle=feasible",
+            "hull lp=infeasible oracle=feasible",
+            "entail lp=infeasible oracle=[1/2, 4/5]",
+            "disagree",
+        ]
+
+    def test_verify_runs_the_entail_command_code(self, monkeypatch):
+        monkeypatch.setattr(cli, "entail", lambda *args: Interval(F(0), F(1)))
+        code, out, _ = run_cli("verify", fixture_path("nilsson.psat"), "--goal", "2")
+        assert code == 1
+        assert "entail lp=[0, 1] oracle=[1/2, 4/5]" in out
+        assert out.endswith("disagree\n")
 
     def test_verify_json(self):
         code, out, _ = run_cli("verify", fixture_path("nilsson.psat"), "--json")
@@ -314,6 +350,14 @@ class TestExitCodes:
         )
         assert proc.returncode == 3 and "needs 3^300000000 columns" in proc.stderr
 
+    def test_column_guard_below_one_is_a_usage_error(self):
+        for limit in ("0", "-5"):
+            code, out, err = run_cli(
+                "matrix", "--n", "2", "--which", "K", "--max-columns", limit
+            )
+            assert code == 2 and out == "", limit
+            assert "--max-columns" in err and "at least 1" in err, limit
+
     def test_raising_guard_warns(self):
         code, out, err = run_cli(
             "matrix",
@@ -360,3 +404,15 @@ class TestDeterminism:
         )
         assert proc.returncode == code
         assert proc.stdout == out
+
+
+def test_cli_reaches_the_lp_only_through_problems():
+    # So verify's LP side is the code that solve and entail run.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any("rational_lp" in name for name in imported)
+    assert not imported & {"clause_problem", "clause_truth_vector"}

@@ -22,7 +22,7 @@ from psatkit import (
     kernel_column_sums_formula,
     weight_permutation,
 )
-from psatkit import linalg
+from psatkit import linalg, oracle
 
 
 class TestRationalMatrix:
@@ -293,4 +293,6 @@ class TestClauseValueMatrix:
                 [eval_clause(clause, a).value for a in enumerate_assignments(n, k)]
                 for clause in clauses
             ]
-            assert clause_value_matrix(form, k).to_rows() == tuple(map(tuple, expected)), form
+            expected = tuple(map(tuple, expected))
+            assert clause_value_matrix(form, k).to_rows() == expected, form
+            assert oracle.clause_matrix(form, k).to_rows() == expected, form

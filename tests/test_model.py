@@ -222,6 +222,10 @@ class TestDistribution:
         assert u.weights == (0, 0, 0, 1)
         assert u.support() == ((3, F(1)),)
 
+    def test_point_mass_guard(self):
+        with pytest.raises(SizeGuardError):
+            Distribution.point_mass(17, 2, 0)
+
     def test_support_is_sorted_and_sparse(self):
         u = Distribution(2, 2, (F(1, 2), 0, 0, F(1, 2)))
         assert u.support() == ((0, F(1, 2)), (3, F(1, 2)))

@@ -11,6 +11,7 @@ from psatkit import (
     Distribution,
     FiberVector,
     InfeasibleError,
+    Interval,
     Literal,
     ProbabilisticAssignment,
     PsatInstance,
@@ -154,6 +155,11 @@ class TestCoherence:
             )
             u = coherence_product_witness(x)
             assert assignment_matrix(n).mul_vec(u.weights) == x.values
+
+    def test_product_witness_guard(self):
+        x = ProbabilisticAssignment(17, (F(1, 2),) * 17)
+        with pytest.raises(SizeGuardError):
+            coherence_product_witness(x)
 
     def test_bias_route_agrees(self):
         rng = random.Random(37)
@@ -378,6 +384,26 @@ class TestEntail:
         target = ClauseProbabilityTarget.exact((F(1, 2),))
         iv = entail(form, target, Clause.from_dimacs((-1,)), 3)
         assert (iv.lo, iv.hi) == (F(1, 2), F(1, 2))
+
+    def test_goal_range_checked(self):
+        with pytest.raises(ValueError, match="goal mentions X_2"):
+            entail(NILSSON, NILSSON_TARGET, Clause.from_dimacs((3,)))
+
+
+def test_a_goal_clause_builds_v_once(monkeypatch):
+    # V of the clauses and the goal row come from one clause_value_matrix call.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return clause_value_matrix(*args)
+
+    monkeypatch.setattr(problems, "clause_value_matrix", counting)
+    goal = Clause.from_dimacs((2,))
+    assert entail(NILSSON, NILSSON_TARGET, goal) == Interval(F(1, 2), F(4, 5))
+    assert len(calls) == 1
+    assert opt_psat(NILSSON, NILSSON_TARGET, goal).value == F(1, 2)
+    assert len(calls) == 2
 
 
 class TestOptPsat:
