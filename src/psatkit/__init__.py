@@ -19,7 +19,6 @@ from .errors import (
 )
 from .matrices import (
     RationalMatrix,
-    WeightPermutation,
     assignment_matrix,
     bias_matrix,
     clause_value_matrix,
@@ -96,7 +95,6 @@ __all__ = [
     "TruthValue",
     "UnboundedError",
     "VERIFY_COLUMN_GUARD",
-    "WeightPermutation",
     "assignment_matrix",
     "bias_matrix",
     "clause_truth_vector",

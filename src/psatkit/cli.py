@@ -35,7 +35,6 @@ from .errors import (
     VERIFY_COLUMN_GUARD,
 )
 from .matrices import (
-    RationalMatrix,
     assignment_matrix,
     bias_matrix,
     kernel_basis_matrix,
@@ -105,6 +104,17 @@ def parse_rational(token: str, line: int = 0) -> Fraction:
         raise ParseError(line, f"zero denominator in {token!r}") from None
 
 
+def _literal(token: str, n: int, line: int, label: str) -> int:
+    """A DIMACS literal code: a nonzero integer naming one of n variables."""
+    try:
+        code = int(token)
+    except ValueError:
+        raise ParseError(line, f"bad {label} {token!r}") from None
+    if code == 0 or abs(code) > n:
+        raise ParseError(line, f"{label} {code} out of range for {n} variables")
+    return code
+
+
 def read_psat_file(text: str) -> PsatFile:
     kind = None
     n = m = k = 0
@@ -148,17 +158,7 @@ def read_psat_file(text: str) -> PsatFile:
         if "0" not in tokens:
             raise ParseError(line_no, "clause lacks the terminating 0")
         zero_at = tokens.index("0")
-        codes: list[int] = []
-        for tok in tokens[:zero_at]:
-            try:
-                code = int(tok)
-            except ValueError:
-                raise ParseError(line_no, f"bad literal {tok!r}") from None
-            if code == 0 or abs(code) > n:
-                raise ParseError(
-                    line_no, f"literal {code} out of range for {n} variables"
-                )
-            codes.append(code)
+        codes = [_literal(tok, n, line_no, "literal") for tok in tokens[:zero_at]]
         if not codes:
             raise ParseError(line_no, "empty clause")
         tail = tokens[zero_at + 1 :]
@@ -226,26 +226,8 @@ def render(result, fmt: str = "text") -> str:
     """Deterministic exact rendering of toolkit values."""
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if isinstance(result, PsatInstance):
-        if fmt == "text":
-            return _instance_text(result)
-        return _dumps(
-            {
-                "n": result.form.n,
-                "m": result.form.m,
-                "k": result.k,
-                "clauses": [
-                    {
-                        "literals": list(clause.to_dimacs()),
-                        "lo": str(lo),
-                        "hi": str(hi),
-                    }
-                    for clause, (lo, hi) in zip(
-                        result.form.clauses, result.target.bounds
-                    )
-                ],
-            }
-        )
+    if isinstance(result, PsatInstance) and fmt == "text":
+        return _instance_text(result)
     if isinstance(result, Interval):
         if fmt == "text":
             return f"[{result.lo}, {result.hi}]"
@@ -254,14 +236,6 @@ def render(result, fmt: str = "text") -> str:
         if fmt == "text":
             return "\n".join(f"{j} {w}" for j, w in result.support())
         return _dumps(_support_json(result))
-    if isinstance(result, RationalMatrix):
-        if fmt == "text":
-            return "\n".join(
-                " ".join(str(e) for e in result.row(i)) for i in range(result.rows)
-            )
-        return _dumps(
-            {"rows": [[str(e) for e in result.row(i)] for i in range(result.rows)]}
-        )
     if isinstance(result, Fraction):
         return str(result) if fmt == "text" else _dumps(str(result))
     if isinstance(result, (tuple, list)):
@@ -275,16 +249,7 @@ def _parse_goal(text: str, n: int) -> Clause:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError(0, "empty goal clause")
-    codes = []
-    for tok in tokens:
-        try:
-            code = int(tok)
-        except ValueError:
-            raise ParseError(0, f"bad goal literal {tok!r}") from None
-        if code == 0 or abs(code) > n:
-            raise ParseError(0, f"goal literal {code} out of range for {n} variables")
-        codes.append(code)
-    return Clause.from_dimacs(codes)
+    return Clause.from_dimacs([_literal(tok, n, 0, "goal literal") for tok in tokens])
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -414,35 +379,25 @@ def _range(solve, *args) -> str:
 
 def _cmd_matrix(args, out, err) -> int:
     limit = _guard(args, err, SOLVE_COLUMN_GUARD)
-    n, k = args.n, args.k
-    which = args.which
+    n, k, which = args.n, args.k, args.which
+    if which == "Z" and k != 2:
+        raise _UsageError("the bias matrix is classical; use --k 2")
     if which == "W":
-        result = assignment_matrix(n, k, limit)
+        rows = assignment_matrix(n, k, limit).to_rows()
     elif which == "K":
-        result = kernel_basis_matrix(n, k, limit)
+        rows = kernel_basis_matrix(n, k, limit).to_rows()
     elif which == "Z":
-        if k != 2:
-            raise _UsageError("the bias matrix is classical; use --k 2")
-        result = bias_matrix(n, limit)
+        rows = bias_matrix(n, limit).to_rows()
+    elif k == 2:  # the closed form skips the weight sort
+        rows = (kernel_column_sums_formula(n, limit),)
     else:
-        result = (
-            kernel_column_sums_formula(n, limit)
-            if k == 2
-            else kernel_column_sums(n, k, limit)
-        )
+        rows = (kernel_column_sums(n, k, limit),)
+    cells = [[str(e) for e in row] for row in rows]
     if args.json:
-        if which == "c":
-            payload = {"which": which, "n": n, "k": k, "entries": [str(v) for v in result]}
-        else:
-            payload = {
-                "which": which,
-                "n": n,
-                "k": k,
-                "rows": [[str(e) for e in result.row(i)] for i in range(result.rows)],
-            }
-        print(_dumps(payload), file=out)
+        key, value = ("entries", cells[0]) if which == "c" else ("rows", cells)
+        print(_dumps({"which": which, "n": n, "k": k, key: value}), file=out)
     else:
-        print(render(result), file=out)
+        print("\n".join(" ".join(row) for row in cells), file=out)
     return EXIT_FEASIBLE
 
 

@@ -112,21 +112,6 @@ class RationalMatrix:
         return all(e == 0 for e in self.entries)
 
 
-@dataclass(frozen=True)
-class WeightPermutation:
-    """Column order sorted by assignment weight (number of nonzero digits).
-
-    perm[p] is the canonical index placed at position p. Ties break by
-    ascending canonical index, except that for k > 2 the weight-1 class puts
-    the n assignments whose single nonzero digit equals 1/(k-1) first; those
-    columns form the scaled identity block.
-    """
-
-    n: int
-    k: int
-    perm: tuple[int, ...]
-
-
 def assignment_matrix(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> RationalMatrix:
@@ -143,24 +128,38 @@ def bias_matrix(n: int, max_columns: int = SOLVE_COLUMN_GUARD) -> RationalMatrix
 
 def weight_permutation(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
-) -> WeightPermutation:
+) -> tuple[int, ...]:
+    """Canonical indices sorted by assignment weight (number of nonzero digits).
+
+    Entry p is the canonical index placed at position p. Ties break by
+    ascending canonical index, except that for k > 2 the weight-1 class puts
+    the n assignments whose single nonzero digit equals 1/(k-1) first; those
+    columns form the scaled identity block.
+    """
     count = check_columns(n, k, max_columns)
     units = {k**i for i in range(n)}
 
     def key(a: int):
         return (sum(1 for d in index_digits(a, n, k) if d), a not in units, a)
 
-    return WeightPermutation(n, k, tuple(sorted(range(count), key=key)))
+    return tuple(sorted(range(count), key=key))
+
+
+def _kernel_assignments(n: int, k: int, max_columns: int) -> tuple[int, ...]:
+    """The assignment of each kernel basis column: zero, then every non-unit one."""
+    order = weight_permutation(n, k, max_columns)
+    return (order[0], *order[n + 1 :])
 
 
 def _kernel_columns(n: int, k: int, max_columns: int):
     """Nonzero (row, value) pairs of each kernel basis column, in column order."""
-    perm = weight_permutation(n, k, max_columns).perm
+    assignments = _kernel_assignments(n, k, max_columns)
     scale = Fraction(1, k - 1)
     places = [k**i for i in range(n)]
-    for a in (perm[0], *perm[n + 1 :]):
+    values = [Fraction(-d, k - 1) for d in range(k)]
+    for a in assignments:
         digits = zip(places, index_digits(a, n, k))
-        yield [(a, scale), *((place, -d * scale) for place, d in digits if d)]
+        yield [(a, scale), *((place, values[d]) for place, d in digits if d)]
 
 
 def kernel_basis_matrix(
@@ -168,8 +167,8 @@ def kernel_basis_matrix(
 ) -> RationalMatrix:
     """k**n x (k**n - n) generator of the kernel of the assignment matrix.
 
-    Column c belongs to assignment a = (perm[0], *perm[n+1:])[c] of
-    `weight_permutation(n, k).perm`: the zero assignment, then every
+    Column c belongs to assignment a = (order[0], *order[n+1:])[c], where
+    order = `weight_permutation(n, k)`: the zero assignment, then every
     assignment after the n unit assignments k^i. The column is
     (e_a - sum_i a_i e_{k^i}) / (k - 1), where a_i are the base-k digits of a
     and rows are in canonical assignment order. W sends both e_a and
@@ -202,10 +201,14 @@ def kernel_column_sums_formula(
 def kernel_column_sums(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
 ) -> tuple[Fraction, ...]:
-    """Column sums of the kernel basis matrix, read from its column rule, for any k."""
-    return tuple(
-        sum(value for _, value in column) for column in _kernel_columns(n, k, max_columns)
-    )
+    """Column sums of the kernel basis matrix for any k.
+
+    The column of assignment a sums to (1 - sum_i a_i) / (k - 1), so each sum
+    is read from a table indexed by the digit sum of a.
+    """
+    assignments = _kernel_assignments(n, k, max_columns)
+    sums = [Fraction(1 - s, k - 1) for s in range(n * (k - 1) + 1)]
+    return tuple(sums[sum(index_digits(a, n, k))] for a in assignments)
 
 
 def clause_value_matrix(

@@ -98,7 +98,7 @@ def test_criterion_01_matrix_identities(capsys):
             assert linalg.rank(list(w.to_rows())) == n, (n, k)
             assert linalg.rank([kb.col(j) for j in range(kb.cols)]) == kb.cols, (n, k)
             # weight order opens with the zero column and a scaled identity
-            perm = weight_permutation(n, k).perm
+            perm = weight_permutation(n, k)
             assert w.col(perm[0]) == (F(0),) * n, (n, k)
             scale = F(1, k - 1)
             for i in range(n):

@@ -320,6 +320,24 @@ class TestExitCodes:
         code, _, err = run_cli("solve", str(bad))
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "goal, message",
+        (
+            ("x", "bad goal literal 'x'"),
+            ("00", "goal literal 0 out of range for 2 variables"),
+            (",", "empty goal clause"),
+        ),
+    )
+    def test_goal_literal_errors(self, goal, message):
+        code, out, err = run_cli("entail", fixture_path("nilsson.psat"), "--goal", goal)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_clause_literal_error(self, tmp_path):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text("p cnf 2 1\nx 0\n")
+        code, out, err = run_cli("solve", str(bad))
+        assert (code, out, err) == (2, "", "error: line 2: bad literal 'x'\n")
+
     def test_unknown_command(self):
         code, _, err = run_cli("nonsense")
         assert code == 2

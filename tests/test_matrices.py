@@ -22,7 +22,7 @@ from psatkit import (
     kernel_column_sums_formula,
     weight_permutation,
 )
-from psatkit import linalg, oracle
+from psatkit import linalg, matrices, oracle
 
 
 class TestRationalMatrix:
@@ -131,12 +131,12 @@ class TestBiasMatrix:
 
 class TestWeightPermutation:
     def test_classical_small(self):
-        assert weight_permutation(2).perm == (0, 1, 2, 3)
-        assert weight_permutation(3).perm == (0, 1, 2, 4, 3, 5, 6, 7)
+        assert weight_permutation(2) == (0, 1, 2, 3)
+        assert weight_permutation(3) == (0, 1, 2, 4, 3, 5, 6, 7)
 
     def test_weights_never_decrease(self):
         for n, k in ((4, 2), (2, 3), (3, 3), (2, 4)):
-            perm = weight_permutation(n, k).perm
+            perm = weight_permutation(n, k)
             weights = []
             for p in perm:
                 digits = []
@@ -150,14 +150,14 @@ class TestWeightPermutation:
     def test_many_valued_puts_kappa_one_first(self):
         # among weight-1 columns the kappa=1 digits lead, so the block
         # behind the kernel construction starts with value 1/(k-1)
-        perm = weight_permutation(2, 3).perm
+        perm = weight_permutation(2, 3)
         assert perm[0] == 0
         assert set(perm[1:3]) == {1, 3}
         assert set(perm[3:5]) == {2, 6}
 
     def test_is_a_permutation(self):
         for n, k in ((5, 2), (3, 3)):
-            perm = weight_permutation(n, k).perm
+            perm = weight_permutation(n, k)
             assert sorted(perm) == list(range(k**n))
 
     def test_matches_the_docstring_rule_on_assignments(self):
@@ -172,7 +172,7 @@ class TestWeightPermutation:
             n = 1
             while k**n <= 4096:
                 expected = tuple(a.index for a in sorted(enumerate_assignments(n, k), key=key))
-                assert weight_permutation(n, k).perm == expected, (n, k)
+                assert weight_permutation(n, k) == expected, (n, k)
                 n += 1
 
 
@@ -242,11 +242,35 @@ class TestKernelColumnSums:
 
     def test_many_valued_sums(self):
         assert kernel_column_sums(1, 3) == (F(1, 2), -F(1, 2))
-        for kk in (2, 3, 4):
-            for n in range(1, 5):
+        for kk in (2, 3, 4, 5):
+            for n in range(1, 5 if kk < 5 else 4):
                 k = kernel_basis_matrix(n, kk)
                 want = tuple(sum(k.col(j)) for j in range(k.cols))
                 assert kernel_column_sums(n, kk) == want, (n, kk)
+
+    def test_sums_do_not_walk_the_kernel_columns(self, monkeypatch):
+        cases = [(n, kk) for kk in (3, 4) for n in range(1, 4)]
+        want = {}
+        for n, kk in cases:
+            k = kernel_basis_matrix(n, kk)
+            want[n, kk] = tuple(sum(k.col(j)) for j in range(k.cols))
+
+        def refuse(*args):
+            raise AssertionError("kernel_column_sums walked the kernel columns")
+
+        monkeypatch.setattr(matrices, "_kernel_columns", refuse)
+        for n, kk in cases:
+            assert kernel_column_sums(n, kk) == want[n, kk], (n, kk)
+
+    def test_guard_fires_before_any_table_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a Fraction table before the column guard")
+
+        monkeypatch.setattr(matrices, "Fraction", refuse)
+        with pytest.raises(SizeGuardError):
+            kernel_column_sums(10**6, 3, 8)
+        with pytest.raises(SizeGuardError):
+            next(matrices._kernel_columns(10**6, 3, 8))
 
 
 class TestClauseValueMatrix:
