@@ -45,9 +45,7 @@ from .model import (
 )
 from .problems import (
     ClauseProbabilityTarget,
-    FiberVector,
     PsatInstance,
-    clause_truth_vector,
     coherence,
     coherence_product_witness,
     coherence_via_bias,
@@ -78,7 +76,6 @@ __all__ = [
     "ClauseProbabilityTarget",
     "ConjunctiveForm",
     "Distribution",
-    "FiberVector",
     "INFEASIBLE",
     "InfeasibleError",
     "Interval",
@@ -97,7 +94,6 @@ __all__ = [
     "VERIFY_COLUMN_GUARD",
     "assignment_matrix",
     "bias_matrix",
-    "clause_truth_vector",
     "clause_value_matrix",
     "coherence",
     "coherence_product_witness",

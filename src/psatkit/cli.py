@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -39,7 +39,6 @@ from .matrices import (
     bias_matrix,
     kernel_basis_matrix,
     kernel_column_sums,
-    kernel_column_sums_formula,
 )
 from .model import (
     Clause,
@@ -81,19 +80,6 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PsatFile:
-    """Raw parsed file: header, clause codes, bounds, and comment lines."""
-
-    kind: str
-    n: int
-    m: int
-    k: int
-    clauses: tuple[tuple[int, ...], ...]
-    bounds: tuple[tuple[Fraction, Fraction], ...]
-    comments: tuple[str, ...]
-
-
 def parse_rational(token: str, line: int = 0) -> Fraction:
     """Exact rational from 'p/q', an integer, or a terminating decimal."""
     if not _RATIONAL_TOKEN.fullmatch(token):
@@ -115,18 +101,15 @@ def _literal(token: str, n: int, line: int, label: str) -> int:
     return code
 
 
-def read_psat_file(text: str) -> PsatFile:
+def parse(text: str) -> PsatInstance:
+    """Parse instance text into a form with per-clause expectation bounds."""
     kind = None
     n = m = k = 0
     clauses: list[tuple[int, ...]] = []
     bounds: list[tuple[Fraction, Fraction]] = []
-    comments: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            comments.append(raw)
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if kind is not None:
@@ -184,25 +167,15 @@ def read_psat_file(text: str) -> PsatFile:
         raise ParseError(0, "missing 'p' header")
     if len(clauses) != m:
         raise ParseError(0, f"header declares {m} clauses, found {len(clauses)}")
-    return PsatFile(kind, n, m, k, tuple(clauses), tuple(bounds), tuple(comments))
-
-
-def parse(text: str) -> PsatInstance:
-    """Parse instance text into a form with per-clause expectation bounds."""
-    raw = read_psat_file(text)
     try:
-        form = ConjunctiveForm.from_dimacs(raw.n, raw.clauses)
+        form = ConjunctiveForm.from_dimacs(n, clauses)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from None
-    return PsatInstance(form, raw.k, ClauseProbabilityTarget(raw.bounds))
+    return PsatInstance(form, k, ClauseProbabilityTarget(tuple(bounds)))
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _support_json(dist: Distribution) -> dict:
-    return {"support": [[j, str(w)] for j, w in dist.support()]}
 
 
 def _instance_text(instance: PsatInstance) -> str:
@@ -223,7 +196,7 @@ def _instance_text(instance: PsatInstance) -> str:
 
 
 def render(result, fmt: str = "text") -> str:
-    """Deterministic exact rendering of toolkit values."""
+    """Exact text of an interval (text or JSON) or of an instance (text)."""
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(result, PsatInstance) and fmt == "text":
@@ -232,16 +205,6 @@ def render(result, fmt: str = "text") -> str:
         if fmt == "text":
             return f"[{result.lo}, {result.hi}]"
         return _dumps({"min": str(result.lo), "max": str(result.hi)})
-    if isinstance(result, Distribution):
-        if fmt == "text":
-            return "\n".join(f"{j} {w}" for j, w in result.support())
-        return _dumps(_support_json(result))
-    if isinstance(result, Fraction):
-        return str(result) if fmt == "text" else _dumps(str(result))
-    if isinstance(result, (tuple, list)):
-        if fmt == "text":
-            return " ".join(str(Fraction(v)) for v in result)
-        return _dumps([str(Fraction(v)) for v in result])
     raise TypeError(f"cannot render {type(result).__name__}")
 
 
@@ -279,7 +242,7 @@ def _print_status(status: str, witness: Distribution | None, as_json: bool, out)
     if as_json:
         payload = {"status": status}
         if witness is not None:
-            payload["witness"] = _support_json(witness)
+            payload["witness"] = {"support": [[j, str(w)] for j, w in witness.support()]}
         print(_dumps(payload), file=out)
         return
     print(status, file=out)
@@ -298,8 +261,8 @@ def _cmd_solve(args, out, err) -> int:
 
 def _cmd_coherence(args, out, err) -> int:
     limit = _guard(args, err, SOLVE_COLUMN_GUARD)
-    source = Path(args.source)
-    text = source.read_text() if source.is_file() else args.source
+    # os.path.isfile is False where Path.is_file raises, as on a name too long for a file
+    text = Path(args.source).read_text() if os.path.isfile(args.source) else args.source
     values = _parse_vector(text)
     x = ProbabilisticAssignment(len(values), values)
     decision, witness = coherence(x, args.k, limit)
@@ -388,8 +351,6 @@ def _cmd_matrix(args, out, err) -> int:
         rows = kernel_basis_matrix(n, k, limit).to_rows()
     elif which == "Z":
         rows = bias_matrix(n, limit).to_rows()
-    elif k == 2:  # the closed form skips the weight sort
-        rows = (kernel_column_sums_formula(n, limit),)
     else:
         rows = (kernel_column_sums(n, k, limit),)
     cells = [[str(e) for e in row] for row in rows]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import SOLVE_COLUMN_GUARD, check_columns
+from .errors import SOLVE_COLUMN_GUARD, SizeGuardError, check_columns
 from .model import ConjunctiveForm, Distribution, as_fraction, index_digits
 # Not called here: bench/tracing.py patches this name on this module.
 from .model import enumerate_assignments
@@ -176,6 +176,8 @@ def kernel_basis_matrix(
     """
     count = check_columns(n, k, max_columns)
     width = count - n
+    if count * width > max_columns:  # K is dense, so the guard counts its entries
+        raise SizeGuardError(count * width, max_columns, "entries")
     entries = [ZERO] * (count * width)
     for c, column in enumerate(_kernel_columns(n, k, max_columns)):
         for row, value in column:

@@ -74,16 +74,6 @@ class ClauseProbabilityTarget:
 
 
 @dataclass(frozen=True)
-class FiberVector:
-    """Coefficient vector over the kernel basis columns."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-
-
-@dataclass(frozen=True)
 class PsatInstance:
     """A form with per-clause expectation bounds on the k-valued truth scale."""
 
@@ -124,15 +114,6 @@ def clause_problem(
     v = clause_value_matrix(ConjunctiveForm(form.n, clauses), k, max_columns).to_rows()
     objective = (ZERO,) * len(v[0]) if goal is None else v[form.m]
     return LpProblem(len(objective), objective, v[: form.m], target.lower, target.upper)
-
-
-def clause_truth_vector(
-    goal: Clause, n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
-) -> tuple[Fraction, ...]:
-    """Truth value of the goal clause at every assignment, in canonical order."""
-    if goal.max_variable() >= n:
-        raise ValueError(f"goal mentions X_{goal.max_variable()} but n={n}")
-    return clause_value_matrix(ConjunctiveForm(n, (goal,)), k, max_columns).entries
 
 
 def coherence(
@@ -221,7 +202,7 @@ def opt_psat(
 
 
 def _fiber_shift(
-    u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int
+    u0: Distribution, w: Sequence[Rational], max_columns: int
 ) -> list[Fraction] | None:
     """The weight change K . w of the kernel move w, or None when the move is invalid.
 
@@ -230,7 +211,7 @@ def _fiber_shift(
     every shifted weight of u0 nonnegative.
     """
     count = check_columns(u0.n, u0.k, max_columns)
-    values = (w if isinstance(w, FiberVector) else FiberVector(w)).values
+    values = [as_fraction(v) for v in w]
     if len(values) != count - u0.n:
         raise ValueError(f"fiber vector length {len(values)} != {count - u0.n}")
     shift = [ZERO] * count
@@ -244,14 +225,14 @@ def _fiber_shift(
 
 
 def fiber_contains(
-    u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int = SOLVE_COLUMN_GUARD
+    u0: Distribution, w: Sequence[Rational], max_columns: int = SOLVE_COLUMN_GUARD
 ) -> bool:
     """Does the kernel move w keep u0 a distribution with the same expectations?"""
     return _fiber_shift(u0, w, max_columns) is not None
 
 
 def fiber_translate(
-    u0: Distribution, w: FiberVector | Sequence[Rational], max_columns: int = SOLVE_COLUMN_GUARD
+    u0: Distribution, w: Sequence[Rational], max_columns: int = SOLVE_COLUMN_GUARD
 ) -> Distribution:
     """Move u0 along the kernel by w; valid moves give a distribution with equal expectations."""
     shift = _fiber_shift(u0, w, max_columns)

@@ -19,7 +19,6 @@ from psatkit import (
     ProbabilisticAssignment,
     assignment_matrix,
     bias_matrix,
-    clause_truth_vector,
     clause_value_matrix,
     coherence,
     coherence_product_witness,
@@ -202,7 +201,7 @@ def test_criterion_06_lp_against_oracle(capsys):
                 feasible_seen += 1
                 assert v.mul_vec(witness.weights) is not None
                 goal = random_clause(rng, n, 3)
-                z = clause_truth_vector(goal, n)
+                z = clause_value_matrix(ConjunctiveForm(n, (goal,))).entries
                 lp_iv = entail(form, target, goal)
                 orc_iv = support_enumeration_optimize(
                     v, target.lower, target.upper, z

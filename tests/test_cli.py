@@ -1,5 +1,6 @@
 import ast
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from psatkit import Distribution, Interval, RationalMatrix, SOLVE_COLUMN_GUARD
+from psatkit import Interval, RationalMatrix, SOLVE_COLUMN_GUARD
 from psatkit import cli, matrices, problems
-from psatkit.cli import ParseError, parse, parse_rational, read_psat_file, render
+from psatkit.cli import ParseError, parse, parse_rational, render
 from conftest import FIXTURES, fixture_path, run_cli, subprocess_env
 
 ALL_FIXTURES = (
@@ -43,81 +44,80 @@ class TestParseRational:
 
 class TestReadPsatFile:
     def test_cnf_header(self):
-        raw = read_psat_file("p cnf 2 1\n1 -2 0\n")
-        assert (raw.kind, raw.n, raw.m, raw.k) == ("cnf", 2, 1, 2)
-        assert raw.clauses == ((1, -2),)
-        assert raw.bounds == (((1), (1)),)
+        inst = parse("p cnf 2 1\n1 -2 0\n")
+        assert (inst.form.n, inst.form.m, inst.k) == (2, 1, 2)
+        assert [c.to_dimacs() for c in inst.form.clauses] == [(1, -2)]
+        assert inst.target.bounds == ((1, 1),)
 
     def test_psat_bounds(self):
-        raw = read_psat_file("p psat 2 2\n1 0 7/10 7/10\n-1 2 0 4/5 4/5\n")
-        assert raw.bounds == ((F(7, 10), F(7, 10)), (F(4, 5), F(4, 5)))
+        inst = parse("p psat 2 2\n1 0 7/10 7/10\n-1 2 0 4/5 4/5\n")
+        assert inst.target.bounds == ((F(7, 10), F(7, 10)), (F(4, 5), F(4, 5)))
 
     def test_psat_default_bounds(self):
-        raw = read_psat_file("p psat 1 1\n1 0\n")
-        assert raw.bounds == ((1, 1),)
+        inst = parse("p psat 1 1\n1 0\n")
+        assert inst.target.bounds == ((1, 1),)
 
     def test_decimal_bounds(self):
-        raw = read_psat_file("p psat 1 1\n1 0 0.7 0.8\n")
-        assert raw.bounds == ((F(7, 10), F(4, 5)),)
+        inst = parse("p psat 1 1\n1 0 0.7 0.8\n")
+        assert inst.target.bounds == ((F(7, 10), F(4, 5)),)
 
     def test_psatk_header(self):
-        raw = read_psat_file("p psatk 1 2 3\n1 0 1/2 1/2\n-1 0 1/2 1/2\n")
-        assert raw.k == 3
+        inst = parse("p psatk 1 2 3\n1 0 1/2 1/2\n-1 0 1/2 1/2\n")
+        assert inst.k == 3
 
     def test_comments_and_blank_lines(self):
-        raw = read_psat_file("c intro\n\np cnf 1 1\nc middle\n1 0\n\n")
-        assert raw.clauses == ((1,),)
-        assert len(raw.comments) == 2
+        inst = parse("c intro\n\np cnf 1 1\nc middle\n1 0\n\n")
+        assert [c.to_dimacs() for c in inst.form.clauses] == [(1,)]
 
     def test_error_lines(self):
         with pytest.raises(ParseError) as info:
-            read_psat_file("p cnf 1 1\n2 0\n")
+            parse("p cnf 1 1\n2 0\n")
         assert str(info.value).startswith("line 2:")
         assert info.value.line == 2
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
-            read_psat_file("1 0\n")
+            parse("1 0\n")
 
     def test_duplicate_header(self):
         with pytest.raises(ParseError, match="duplicate"):
-            read_psat_file("p cnf 1 1\np cnf 1 1\n1 0\n")
+            parse("p cnf 1 1\np cnf 1 1\n1 0\n")
 
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError, match="declares"):
-            read_psat_file("p cnf 1 2\n1 0\n")
+            parse("p cnf 1 2\n1 0\n")
 
     def test_missing_terminator(self):
         with pytest.raises(ParseError, match="terminating 0"):
-            read_psat_file("p cnf 1 1\n1\n")
+            parse("p cnf 1 1\n1\n")
 
     def test_cnf_rejects_bounds(self):
         with pytest.raises(ParseError, match="after clause terminator"):
-            read_psat_file("p cnf 1 1\n1 0 1/2 1\n")
+            parse("p cnf 1 1\n1 0 1/2 1\n")
 
     def test_bad_bound_pair(self):
         with pytest.raises(ParseError, match="lo hi"):
-            read_psat_file("p psat 1 1\n1 0 1/2\n")
+            parse("p psat 1 1\n1 0 1/2\n")
 
     def test_bound_order(self):
         with pytest.raises(ParseError, match="exceeds"):
-            read_psat_file("p psat 1 1\n1 0 3/4 1/4\n")
+            parse("p psat 1 1\n1 0 3/4 1/4\n")
 
     def test_bound_range(self):
         with pytest.raises(ParseError, match="outside"):
-            read_psat_file("p psat 1 1\n1 0 1/2 3/2\n")
+            parse("p psat 1 1\n1 0 1/2 3/2\n")
 
     def test_empty_clause(self):
         with pytest.raises(ParseError, match="empty"):
-            read_psat_file("p cnf 1 1\n0\n")
+            parse("p cnf 1 1\n0\n")
 
     def test_literal_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
-            read_psat_file("p cnf 1 1\n-2 0\n")
+            parse("p cnf 1 1\n-2 0\n")
 
     def test_bad_k(self):
         with pytest.raises(ParseError, match="k >= 2"):
-            read_psat_file("p psatk 1 1 1\n1 0\n")
+            parse("p psatk 1 1 1\n1 0\n")
 
 
 class TestParseToInstance:
@@ -138,17 +138,6 @@ class TestRender:
 
     def test_interval_json(self):
         assert render(Interval(F(1, 2), F(4, 5)), "json") == '{"min":"1/2","max":"4/5"}'
-
-    def test_distribution_json(self):
-        u = Distribution.point_mass(2, 2, 3)
-        assert render(u, "json") == '{"support":[[3,"1"]]}'
-
-    def test_vector_text(self):
-        assert render((F(1), F(-1))) == "1 -1"
-
-    def test_fraction(self):
-        assert render(F(7, 10)) == "7/10"
-        assert render(F(7, 10), "json") == '"7/10"'
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +206,9 @@ class TestCommands:
         code, out, _ = run_cli("coherence", "3/10,3/5")
         assert code == 0
         assert out.splitlines()[0] == "coherent"
+        # far longer than a file name may be, so it is read as inline text
+        code, out, _ = run_cli("coherence", "0." + "1" * 300 + ",0.5")
+        assert code == 0 and out.splitlines()[0] == "coherent"
 
     def test_coherence_from_file(self, tmp_path):
         vec = tmp_path / "x.txt"
@@ -367,6 +359,21 @@ class TestExitCodes:
             timeout=20,
         )
         assert proc.returncode == 3 and "needs 3^300000000 columns" in proc.stderr
+        # matrix K is dense, so its guard counts entries
+        code, out, err = run_cli("matrix", "--n", "9", "--which", "K")
+        assert code == 3 and out == ""
+        assert "needs 257536 entries but the guard allows 65536" in err
+        code, out, _ = run_cli("matrix", "--n", "9", "--which", "K", "--max-columns", "257536")
+        assert code == 0 and len(out.splitlines()) == 2**9
+        # 2^16 x (2^16 - 16) cells would exhaust memory, so the child runs under
+        # a 1 GB address-space cap: a missing guard fails the test, not the host.
+        argv = [sys.executable, "-m", "psatkit", "matrix", "--n", "16", "--which", "K"]
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, env=subprocess_env(), timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "entries but the guard allows 65536" in proc.stderr
 
     def test_column_guard_below_one_is_a_usage_error(self):
         for limit in ("0", "-5"):
@@ -433,4 +440,4 @@ def test_cli_reaches_the_lp_only_through_problems():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
     assert not any("rational_lp" in name for name in imported)
-    assert not imported & {"clause_problem", "clause_truth_vector"}
+    assert "clause_problem" not in imported

@@ -217,6 +217,11 @@ class TestKernelBasis:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             kernel_basis_matrix(13, 2, max_columns=4096)
+        # K is dense, so the guard counts its entries: n = 9 has 512 * 503
+        with pytest.raises(SizeGuardError) as info:
+            kernel_basis_matrix(9)
+        assert info.value.what == "entries" and info.value.count == 512 * 503
+        assert kernel_basis_matrix(8).cols == 2**8 - 8
 
 
 class TestKernelColumnSums:
@@ -237,7 +242,8 @@ class TestKernelColumnSums:
             at += len(block)
 
     def test_formula_matches_actual_sums(self):
-        for n in range(1, 8):
+        # to n = 12: the digit-sum routine serves the CLI's c at every k
+        for n in range(1, 13):
             assert kernel_column_sums_formula(n) == kernel_column_sums(n)
 
     def test_many_valued_sums(self):

@@ -9,7 +9,6 @@ from psatkit import (
     ClauseProbabilityTarget,
     ConjunctiveForm,
     Distribution,
-    FiberVector,
     InfeasibleError,
     Interval,
     Literal,
@@ -18,7 +17,6 @@ from psatkit import (
     RationalMatrix,
     SizeGuardError,
     assignment_matrix,
-    clause_truth_vector,
     clause_value_matrix,
     coherence,
     coherence_product_witness,
@@ -89,16 +87,16 @@ class TestInstance:
 
 class TestClauseTruthVector:
     def test_goal_column_values(self):
-        z = clause_truth_vector(Clause.from_dimacs((2,)), 2)
-        assert z == (0, 0, 1, 1)
+        goal = Clause.from_dimacs((2,))
+        assert clause_value_matrix(ConjunctiveForm(2, (goal,))).entries == (0, 0, 1, 1)
 
     def test_three_valued(self):
-        z = clause_truth_vector(Clause.from_dimacs((-1,)), 1, 3)
-        assert z == (1, F(1, 2), 0)
+        goal = Clause.from_dimacs((-1,))
+        assert clause_value_matrix(ConjunctiveForm(1, (goal,)), 3).entries == (1, F(1, 2), 0)
 
     def test_variable_range(self):
         with pytest.raises(ValueError):
-            clause_truth_vector(Clause.from_dimacs((3,)), 2)
+            clause_value_matrix(ConjunctiveForm(2, (Clause.from_dimacs((3,)),)))
 
 
 class TestCoherence:
@@ -458,7 +456,7 @@ class TestFiber:
 
     def test_translate_preserves_expectations(self):
         u0 = Distribution(2, 2, (F(1, 2), 0, 0, F(1, 2)))
-        moved = fiber_translate(u0, FiberVector((-F(1, 8), -F(1, 8))))
+        moved = fiber_translate(u0, (-F(1, 8), -F(1, 8)))
         w = assignment_matrix(2)
         assert w.mul_vec(moved.weights) == w.mul_vec(u0.weights)
 
