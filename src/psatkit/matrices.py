@@ -137,12 +137,18 @@ def weight_permutation(
     columns form the scaled identity block.
     """
     count = check_columns(n, k, max_columns)
-    units = {k**i for i in range(n)}
-
-    def key(a: int):
-        return (sum(1 for d in index_digits(a, n, k) if d), a not in units, a)
-
-    return tuple(sorted(range(count), key=key))
+    # One ascending pass: a // k is a without its lowest digit, so each weight
+    # extends an earlier one, and each bucket fills in index order.
+    weight = bytearray(count)
+    buckets: list[list[int]] = [[0]] + [[] for _ in range(n)]
+    for a in range(1, count):
+        w = weight[a // k] + (a % k != 0)
+        weight[a] = w
+        buckets[w].append(a)
+    units = [k**i for i in range(n)]
+    unit_set = set(units)
+    buckets[1] = units + [a for a in buckets[1] if a not in unit_set]
+    return tuple(a for bucket in buckets for a in bucket)
 
 
 def _kernel_assignments(n: int, k: int, max_columns: int) -> tuple[int, ...]:

@@ -11,6 +11,16 @@ variables; Bland's smallest-index rule is used for entering and leaving
 choices in both phases, so the solver cannot cycle and runs bit-for-bit
 deterministically. All arithmetic is fractions.Fraction, which normalizes
 eagerly, so witnesses and optima are exact rationals.
+
+Columns with equal (objective entry, row entries) are one point of the
+feasible image, so the tableau holds one column per class: the class's
+lowest index, in index order, with slacks, surpluses and artificials after
+them. A later copy of a column never enters under Bland's rule, because its
+reduced cost and tableau column equal those of its first copy, which has the
+lower index; the relabelling is monotone, so ratio-test ties break the same
+way. The pivot path, status, witness and value are therefore those of the
+uncompressed tableau, with each class's mass at its lowest index and 0 at
+the other members.
 """
 
 from __future__ import annotations
@@ -141,27 +151,34 @@ def _run_bland(rows, rhs, basis, cost) -> None:
 def lp_solve(problem: LpProblem) -> LpOutcome:
     """Exact optimum and basic witness, or the infeasible outcome."""
     n = problem.num_vars
+    # Column classes: equal (objective entry, row entries), lowest index first.
+    first: dict[tuple[Fraction, ...], int] = {}
+    for j, key in enumerate(zip(problem.objective, *problem.rows)):
+        first.setdefault(key, j)
+    reps = list(first.values())
+    c = len(reps)
     interval_count = sum(
         1 for lo, hi in zip(problem.row_lower, problem.row_upper) if lo != hi
     )
-    total = n + 2 * interval_count
+    total = c + 2 * interval_count
 
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     if problem.simplex_constraint:
-        rows.append([ONE] * n + [ZERO] * (total - n))
+        rows.append([ONE] * c + [ZERO] * (total - c))
         rhs.append(ONE)
-    slack = n
+    slack = c
     for arow, lo, hi in zip(problem.rows, problem.row_lower, problem.row_upper):
+        structural = [arow[j] for j in reps]
         if lo == hi:
-            rows.append(list(arow) + [ZERO] * (total - n))
+            rows.append(structural + [ZERO] * (total - c))
             rhs.append(lo)
         else:
-            up = list(arow) + [ZERO] * (total - n)
+            up = structural + [ZERO] * (total - c)
             up[slack] = ONE
             rows.append(up)
             rhs.append(hi)
-            down = list(arow) + [ZERO] * (total - n)
+            down = structural + [ZERO] * (total - c)
             down[slack + 1] = -ONE
             rows.append(down)
             rhs.append(lo)
@@ -169,7 +186,7 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
 
     m = len(rows)
     if m == 0:
-        if any(c < 0 for c in problem.objective):
+        if any(coef < 0 for coef in problem.objective):
             raise UnboundedError("objective unbounded below")
         return LpOutcome(OPTIMAL, (ZERO,) * n, ZERO)
 
@@ -205,17 +222,19 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     rhs = [rhs[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    cost2 = list(problem.objective) + [ZERO] * (total - n)
+    cost2 = [problem.objective[j] for j in reps] + [ZERO] * (total - c)
     _run_bland(rows, rhs, basis, cost2)
 
-    x = [ZERO] * total
+    # Each class's mass sits on its lowest index; later copies stay at 0.
+    x = [ZERO] * n
     for i, b in enumerate(basis):
-        x[b] = rhs[i]
-    witness = tuple(x[:n])
+        if b < c:
+            x[reps[b]] = rhs[i]
+    witness = tuple(x)
     value = ZERO
-    for c, v in zip(problem.objective, witness):
-        if c != 0 and v != 0:
-            value += c * v
+    for coef, v in zip(problem.objective, witness):
+        if coef != 0 and v != 0:
+            value += coef * v
     return LpOutcome(OPTIMAL, witness, value)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from psatkit import Clause, ConjunctiveForm, Literal
+from psatkit import Clause, ConjunctiveForm, Literal, rational_lp
 from psatkit.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -16,6 +16,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def tableau_widths(monkeypatch) -> list[int]:
+    """The column count of each Bland run of lp_solve, phase 1 then phase 2."""
+    widths = []
+    run_bland = rational_lp._run_bland
+
+    def recording(rows, rhs, basis, cost):
+        widths.append(len(cost))
+        run_bland(rows, rhs, basis, cost)
+
+    monkeypatch.setattr(rational_lp, "_run_bland", recording)
+    return widths
 
 
 def fixture_path(name: str) -> Path:

@@ -5,6 +5,9 @@ import pytest
 
 from psatkit import (
     INFEASIBLE,
+    Clause,
+    ClauseProbabilityTarget,
+    ConjunctiveForm,
     InfeasibleError,
     LpProblem,
     OPTIMAL,
@@ -13,7 +16,8 @@ from psatkit import (
     lp_optimize_both,
     lp_solve,
 )
-from conftest import random_unit_fraction
+from psatkit.problems import clause_problem
+from conftest import random_form, random_unit_fraction
 
 
 def simplex_lp(rows, lower, upper, objective=None, num_vars=None):
@@ -236,3 +240,112 @@ class TestFeasibleHelper:
         out = lp_feasible(p)
         assert out.status == OPTIMAL
         assert out.value == 0
+
+
+def with_copies(problem, picks):
+    """The same LP with copies of the columns in picks appended after the rest."""
+    return LpProblem(
+        problem.num_vars + len(picks),
+        problem.objective + tuple(problem.objective[j] for j in picks),
+        tuple(row + tuple(row[j] for j in picks) for row in problem.rows),
+        problem.row_lower,
+        problem.row_upper,
+        problem.simplex_constraint,
+    )
+
+
+def solve_or_unbounded(problem):
+    try:
+        return lp_solve(problem)
+    except UnboundedError:
+        return None
+
+
+def random_lp(rng, simplex_constraint):
+    nd = rng.randint(1, 7)
+    m = rng.randint(1, 3)
+    entries = (F(0), F(1, 2), F(1), F(3, 2))
+    rows = tuple(tuple(rng.choice(entries) for _ in range(nd)) for _ in range(m))
+    lower, upper = [], []
+    for _ in range(m):
+        a, b = sorted(random_unit_fraction(rng) for _ in range(2))
+        if rng.random() < 0.4:
+            b = a
+        lower.append(a)
+        upper.append(b)
+    objective = tuple(F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(nd))
+    return LpProblem(nd, objective, rows, tuple(lower), tuple(upper), simplex_constraint)
+
+
+class TestDuplicateColumns:
+    """Appended copies of existing columns never enter under Bland's rule."""
+
+    def test_copies_change_nothing_and_stay_at_zero(self):
+        rng = random.Random(31)
+        statuses = set()
+        for trial in range(240):
+            problem = random_lp(rng, simplex_constraint=trial % 4 != 0)
+            picks = [rng.randrange(problem.num_vars) for _ in range(rng.randint(1, 6))]
+            base = solve_or_unbounded(problem)
+            copied = solve_or_unbounded(with_copies(problem, picks))
+            if base is None:
+                statuses.add("unbounded")
+                assert copied is None
+                continue
+            statuses.add((base.status, problem.simplex_constraint))
+            assert copied.status == base.status
+            assert copied.value == base.value
+            if base.is_optimal:
+                assert copied.witness[: problem.num_vars] == base.witness
+                assert copied.witness[problem.num_vars :] == (0,) * len(picks)
+        assert statuses >= {(OPTIMAL, True), (INFEASIBLE, True), (OPTIMAL, False)}
+
+    def test_equal_rows_with_different_costs_do_not_merge(self):
+        p = simplex_lp(((1, 1),), (1,), (1,), objective=(1, 0))
+        out = lp_solve(p)
+        assert out.witness == (0, 1)
+        assert out.value == 0
+
+
+class TestColumnClasses:
+    """lp_solve pivots over one representative column per class."""
+
+    @staticmethod
+    def expected_widths(problem, classes, optimal):
+        intervals = sum(1 for lo, hi in zip(problem.row_lower, problem.row_upper) if lo != hi)
+        expanded = 1 + len(problem.rows) + intervals
+        phase2 = classes + 2 * intervals
+        return [phase2 + expanded, phase2] if optimal else [phase2 + expanded]
+
+    @pytest.mark.parametrize(
+        "goal, classes",
+        ((None, 3), (Clause.from_dimacs((3,)), 6)),
+    )
+    def test_tableau_width_counts_classes(self, tableau_widths, goal, classes):
+        # Over (X1, X2) the clause values of X1 and -X1 v X2 take three
+        # patterns, and X3 is unmentioned: 8 columns, 3 classes. A goal on X3
+        # splits each class in two.
+        form = ConjunctiveForm.from_dimacs(3, ((1,), (-1, 2)))
+        target = ClauseProbabilityTarget(((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))))
+        problem = clause_problem(form, target, goal=goal)
+        out = lp_solve(problem)
+        assert tableau_widths == self.expected_widths(problem, classes, out.is_optimal)
+        assert out.is_optimal
+
+    def test_seeded_clause_lps(self, tableau_widths):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(40):
+            n, k = rng.choice(((3, 2), (4, 2), (5, 2), (3, 3)))
+            form = random_form(rng, n, rng.randint(1, 4), width=2)
+            bounds = []
+            for _ in range(form.m):
+                a, b = sorted(random_unit_fraction(rng) for _ in range(2))
+                bounds.append((a, a) if rng.random() < 0.3 else (a, b))
+            problem = clause_problem(form, ClauseProbabilityTarget(tuple(bounds)), k)
+            classes = len(set(zip(*problem.rows)))
+            tableau_widths.clear()
+            out = lp_solve(problem)
+            assert tableau_widths == self.expected_widths(problem, classes, out.is_optimal)
+            seen.add((out.is_optimal, classes < problem.num_vars))
+        assert seen >= {(True, True), (False, True)}

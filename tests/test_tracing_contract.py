@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from psatkit import ClauseProbabilityTarget, ConjunctiveForm
+from psatkit import Clause, ClauseProbabilityTarget, ConjunctiveForm
 from psatkit.problems import clause_problem
 from psatkit.rational_lp import lp_solve
 
@@ -90,3 +90,23 @@ def test_lp_counts_reads_a_real_solve(bounds, optimal):
         assert counts["den_bits_max"] >= 1
     else:
         assert counts["witness_support"] == counts["den_bits_max"] == 0
+
+
+@pytest.mark.parametrize("goal", (None, Clause.from_dimacs((-2,))))
+@pytest.mark.parametrize(
+    "bounds",
+    (
+        ((F(7, 10), F(7, 10)), (F(4, 5), F(4, 5))),
+        ((F(1, 2), F(1)), (F(1, 4), F(1, 2))),
+        ((F(0), F(0)), (F(0), F(0))),
+    ),
+)
+def test_column_classes_are_the_width_lp_solve_pivots_over(tableau_widths, bounds, goal):
+    # The phase-1 tableau holds the structural columns, a slack and a surplus
+    # per interval row, and one artificial per expanded row.
+    form = ConjunctiveForm.from_dimacs(3, ((1,), (-1, 2)))
+    problem = clause_problem(form, ClauseProbabilityTarget(bounds), goal=goal)
+    counts = tracing.lp_counts(problem, lp_solve(problem))
+    intervals = sum(1 for lo, hi in bounds if lo != hi)
+    assert tableau_widths[0] - 2 * intervals - counts["rows"] == counts["column_classes"]
+    assert counts["column_classes"] < counts["columns"]
