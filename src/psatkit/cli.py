@@ -115,7 +115,7 @@ def parse(text: str) -> PsatInstance:
             if kind is not None:
                 raise ParseError(line_no, "duplicate header")
             tokens = line.split()
-            if len(tokens) >= 2 and tokens[1] in ("cnf", "psat", "psatk"):
+            if len(tokens) >= 2 and tokens[0] == "p" and tokens[1] in ("cnf", "psat", "psatk"):
                 kind = tokens[1]
                 want = 5 if kind == "psatk" else 4
                 if len(tokens) != want:

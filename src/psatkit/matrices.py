@@ -215,8 +215,12 @@ def kernel_column_sums(
     is read from a table indexed by the digit sum of a.
     """
     assignments = _kernel_assignments(n, k, max_columns)
+    # One ascending pass: a // k is a without its lowest digit a % k.
+    digit_sum = [0] * k**n
+    for a in range(1, k**n):
+        digit_sum[a] = digit_sum[a // k] + a % k
     sums = [Fraction(1 - s, k - 1) for s in range(n * (k - 1) + 1)]
-    return tuple(sums[sum(index_digits(a, n, k))] for a in assignments)
+    return tuple(sums[digit_sum[a]] for a in assignments)
 
 
 def clause_value_matrix(

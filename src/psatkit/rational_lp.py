@@ -21,11 +21,16 @@ lower index; the relabelling is monotone, so ratio-test ties break the same
 way. The pivot path, status, witness and value are therefore those of the
 uncompressed tableau, with each class's mass at its lowest index and 0 at
 the other members.
+
+Each tableau row is structural | slack and surplus | artificial | right-hand
+side. A Bland run prices its objective as one more row, whose last entry is
+minus the objective value: after phase 1 it is nonzero exactly when the
+artificials cannot reach 0, and after phase 2 it is minus the optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -71,14 +76,7 @@ class LpProblem:
         object.__setattr__(self, "row_upper", upper)
 
     def with_objective(self, objective: Sequence[Fraction]) -> LpProblem:
-        return LpProblem(
-            self.num_vars,
-            objective,
-            self.rows,
-            self.row_lower,
-            self.row_upper,
-            self.simplex_constraint,
-        )
+        return replace(self, objective=objective)
 
 
 @dataclass(frozen=True)
@@ -92,60 +90,48 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
-def _pivot(rows, rhs, obj, basis, r, c) -> None:
+def _pivot(rows, basis, r, c) -> None:
+    """Make column c basic in row r: scale row r, then eliminate c from every other row."""
     prow = rows[r]
     piv = prow[c]
     if piv != ONE:
-        prow = [v / piv for v in prow]
-        rows[r] = prow
-        rhs[r] = rhs[r] / piv
+        prow = rows[r] = [v / piv for v in prow]
     nonzero = [j for j, v in enumerate(prow) if v != 0]
-    pb = rhs[r]
     for i, row in enumerate(rows):
-        if i == r:
-            continue
         f = row[c]
-        if f == 0:
-            continue
-        for j in nonzero:
-            row[j] -= f * prow[j]
-        if pb != 0:
-            rhs[i] -= f * pb
-    f = obj[c]
-    if f != 0:
-        for j in nonzero:
-            obj[j] -= f * prow[j]
+        if i != r and f != 0:
+            for j in nonzero:
+                row[j] -= f * prow[j]
     basis[r] = c
 
 
-def _run_bland(rows, rhs, basis, cost) -> None:
-    """Minimize cost . x from the current basic feasible point."""
+def _run_bland(rows, basis, cost) -> list[Fraction]:
+    """Minimize cost . x from the current basic feasible point; return the objective row."""
     m = len(rows)
-    ncols = len(cost)
-    obj = list(cost)
-    for i in range(m):
-        cb = cost[basis[i]]
+    obj = [*cost, ZERO]
+    for row, b in zip(rows, basis):
+        cb = cost[b]
         if cb != 0:
-            row = rows[i]
-            for j in range(ncols):
-                if row[j] != 0:
-                    obj[j] -= cb * row[j]
+            for j, v in enumerate(row):
+                if v != 0:
+                    obj[j] -= cb * v
+    rows.append(obj)
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        enter = next((j for j in range(len(cost)) if obj[j] < 0), None)
         if enter is None:
-            return
+            return rows.pop()
         leave = None
         best = None
         for i in range(m):
             a = rows[i][enter]
             if a > 0:
-                key = (rhs[i] / a, basis[i])
+                key = (rows[i][-1] / a, basis[i])
                 if best is None or key < best:
                     best = key
                     leave = i
         if leave is None:
             raise UnboundedError("objective unbounded below")
-        _pivot(rows, rhs, obj, basis, leave, enter)
+        _pivot(rows, basis, leave, enter)
 
 
 def lp_solve(problem: LpProblem) -> LpOutcome:
@@ -163,25 +149,19 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     total = c + 2 * interval_count
 
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     if problem.simplex_constraint:
-        rows.append([ONE] * c + [ZERO] * (total - c))
-        rhs.append(ONE)
+        rows.append([ONE] * c + [ZERO] * (total - c) + [ONE])
     slack = c
     for arow, lo, hi in zip(problem.rows, problem.row_lower, problem.row_upper):
-        structural = [arow[j] for j in reps]
+        body = [arow[j] for j in reps] + [ZERO] * (total - c)
         if lo == hi:
-            rows.append(structural + [ZERO] * (total - c))
-            rhs.append(lo)
+            rows.append(body + [lo])
         else:
-            up = structural + [ZERO] * (total - c)
+            up = body + [hi]
             up[slack] = ONE
-            rows.append(up)
-            rhs.append(hi)
-            down = structural + [ZERO] * (total - c)
+            down = body + [lo]
             down[slack + 1] = -ONE
-            rows.append(down)
-            rhs.append(lo)
+            rows += [up, down]
             slack += 2
 
     m = len(rows)
@@ -190,25 +170,18 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
             raise UnboundedError("objective unbounded below")
         return LpOutcome(OPTIMAL, (ZERO,) * n, ZERO)
 
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    for i in range(m):
-        rows[i] = rows[i] + [ONE if t == i else ZERO for t in range(m)]
+    # Nonnegative right-hand sides, then one artificial per row.
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            row = rows[i] = [-v for v in row]
+        row[-1:-1] = [ONE if t == i else ZERO for t in range(m)]
     basis = list(range(total, total + m))
-    cost1 = [ZERO] * total + [ONE] * m
 
-    _run_bland(rows, rhs, basis, cost1)
-    residual = ZERO
-    for i in range(m):
-        if basis[i] >= total:
-            residual += rhs[i]
-    if residual != 0:
+    # Phase 1 minimizes the artificials; a nonzero minimum means infeasible.
+    if _run_bland(rows, basis, [ZERO] * total + [ONE] * m)[-1] != 0:
         return LpOutcome(INFEASIBLE)
 
     # Basic artificials at zero: pivot them out, or drop redundant rows.
-    dummy = [ZERO] * (total + m)
     drop: set[int] = set()
     for i in range(m):
         if basis[i] >= total:
@@ -216,26 +189,20 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
             if enter is None:
                 drop.add(i)
             else:
-                _pivot(rows, rhs, dummy, basis, i, enter)
+                _pivot(rows, basis, i, enter)
     keep = [i for i in range(m) if i not in drop]
-    rows = [rows[i][:total] for i in keep]
-    rhs = [rhs[i] for i in keep]
+    rows = [rows[i][:total] + rows[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
-    cost2 = [problem.objective[j] for j in reps] + [ZERO] * (total - c)
-    _run_bland(rows, rhs, basis, cost2)
+    cost = [problem.objective[j] for j in reps] + [ZERO] * (total - c)
+    value = -_run_bland(rows, basis, cost)[-1]
 
     # Each class's mass sits on its lowest index; later copies stay at 0.
     x = [ZERO] * n
-    for i, b in enumerate(basis):
+    for row, b in zip(rows, basis):
         if b < c:
-            x[reps[b]] = rhs[i]
-    witness = tuple(x)
-    value = ZERO
-    for coef, v in zip(problem.objective, witness):
-        if coef != 0 and v != 0:
-            value += coef * v
-    return LpOutcome(OPTIMAL, witness, value)
+            x[reps[b]] = row[-1]
+    return LpOutcome(OPTIMAL, tuple(x), value)
 
 
 def lp_feasible(problem: LpProblem) -> LpOutcome:

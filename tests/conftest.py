@@ -24,9 +24,9 @@ def tableau_widths(monkeypatch) -> list[int]:
     widths = []
     run_bland = rational_lp._run_bland
 
-    def recording(rows, rhs, basis, cost):
+    def recording(rows, basis, cost):
         widths.append(len(cost))
-        run_bland(rows, rhs, basis, cost)
+        return run_bland(rows, basis, cost)
 
     monkeypatch.setattr(rational_lp, "_run_bland", recording)
     return widths

@@ -83,6 +83,12 @@ class TestReadPsatFile:
         with pytest.raises(ParseError, match="duplicate"):
             parse("p cnf 1 1\np cnf 1 1\n1 0\n")
 
+    @pytest.mark.parametrize("header", ("pfoo cnf 2 1", "pcnf cnf 2 1", "p: cnf 2 1"))
+    def test_header_token_is_exactly_p(self, header):
+        with pytest.raises(ParseError, match="unknown header format") as info:
+            parse(f"c first\n{header}\n1 2 0\n")
+        assert info.value.line == 2
+
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError, match="declares"):
             parse("p cnf 1 2\n1 0\n")
@@ -323,6 +329,12 @@ class TestExitCodes:
     def test_goal_literal_errors(self, goal, message):
         code, out, err = run_cli("entail", fixture_path("nilsson.psat"), "--goal", goal)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_header_with_glued_p(self, tmp_path):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text("pfoo cnf 2 1\n1 2 0\n")
+        code, out, err = run_cli("sat", str(bad))
+        assert (code, out, err) == (2, "", "error: line 1: unknown header format\n")
 
     def test_clause_literal_error(self, tmp_path):
         bad = tmp_path / "bad.cnf"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -12,9 +13,11 @@ from psatkit import (
     LpProblem,
     OPTIMAL,
     UnboundedError,
+    bias_matrix,
     lp_feasible,
     lp_optimize_both,
     lp_solve,
+    rational_lp,
 )
 from psatkit.problems import clause_problem
 from conftest import random_form, random_unit_fraction
@@ -349,3 +352,96 @@ class TestColumnClasses:
             assert tableau_widths == self.expected_widths(problem, classes, out.is_optimal)
             seen.add((out.is_optimal, classes < problem.num_vars))
         assert seen >= {(True, True), (False, True)}
+
+
+def pivot_path_corpus():
+    """Seeded LPs whose pivot path is pinned: random, clause and bias LPs."""
+    rng = random.Random(2)
+    entries = (F(-1), F(0), F(1, 2), F(1), F(3, 2))
+    problems = []
+    for trial in range(240):
+        nd = rng.randint(1, 6)
+        m = rng.randint(1, 3)
+        rows = [tuple(rng.choice(entries) for _ in range(nd)) for _ in range(m)]
+        lower, upper = [], []
+        for _ in range(m):
+            a, b = sorted(F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(2))
+            lower.append(a)
+            upper.append(a if rng.random() < 0.4 else b)
+        if trial % 3 == 0:
+            rows.append(rows[0])
+            lower.append(lower[0])
+            upper.append(upper[0])
+        objective = tuple(F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(nd))
+        problems.append(
+            LpProblem(nd, objective, tuple(rows), tuple(lower), tuple(upper), trial % 4 != 0)
+        )
+    for _ in range(20):
+        n, k = rng.choice(((3, 2), (4, 2), (2, 3)))
+        form = random_form(rng, n, rng.randint(1, 3), width=2)
+        bounds = []
+        for _ in range(form.m):
+            a, b = sorted(random_unit_fraction(rng) for _ in range(2))
+            bounds.append((a, a) if rng.random() < 0.3 else (a, b))
+        goal = random_form(rng, n, 1, width=2).clauses[0]
+        problem = clause_problem(form, ClauseProbabilityTarget(tuple(bounds)), k, goal=goal)
+        problems += [problem, problem.with_objective(tuple(-c for c in problem.objective))]
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        z = bias_matrix(n)
+        target = tuple(2 * random_unit_fraction(rng, 4) - 1 for _ in range(n))
+        problems.append(LpProblem(z.cols, (0,) * z.cols, z.to_rows(), target, target))
+    return problems
+
+
+class TestPivotPath:
+    """The status, witness, value and every (row, column) pivot of a seeded corpus."""
+
+    DIGEST = "f802087e1af88510fc626faafc72754d4e7139e15e46880243bef4cb7ce8cd0c"
+
+    def test_corpus_path_is_pinned(self, monkeypatch):
+        pivots, runs = [], []
+        pivot, run_bland = rational_lp._pivot, rational_lp._run_bland
+
+        def recording_pivot(*args):
+            pivots.append(args[-2:])
+            return pivot(*args)
+
+        def recording_bland(*args):
+            start = len(pivots)
+            result = run_bland(*args)
+            runs.append((len(args[0]), start, len(pivots)))
+            return result
+
+        monkeypatch.setattr(rational_lp, "_pivot", recording_pivot)
+        monkeypatch.setattr(rational_lp, "_run_bland", recording_bland)
+        digest = hashlib.sha256()
+        reached = set()
+        for problem in pivot_path_corpus():
+            pivots.clear()
+            runs.clear()
+            try:
+                out = lp_solve(problem)
+            except UnboundedError:
+                record = ("unbounded",)
+            else:
+                record = (out.status, out.witness, out.value)
+                if out.is_optimal and min(problem.row_lower) < 0:
+                    reached.add("negative right-hand side")
+            digest.update(repr((record, pivots)).encode())
+            reached.add(record[0])
+            if len(runs) == 2:
+                (rows1, _, end1), (rows2, start2, _) = runs
+                if start2 > end1:
+                    reached.add("drive-out pivot")
+                if rows2 < rows1:
+                    reached.add("dropped row")
+        assert reached >= {
+            OPTIMAL,
+            INFEASIBLE,
+            "unbounded",
+            "drive-out pivot",
+            "dropped row",
+            "negative right-hand side",
+        }
+        assert digest.hexdigest() == self.DIGEST
