@@ -29,14 +29,12 @@ from .matrices import (
     weight_permutation,
 )
 from .model import (
-    Assignment,
     Clause,
     ConjunctiveForm,
     Distribution,
     Interval,
     Literal,
     ProbabilisticAssignment,
-    TruthValue,
     determinize,
     enumerate_assignments,
     eval_clause,
@@ -71,7 +69,6 @@ from .rational_lp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "Clause",
     "ClauseProbabilityTarget",
     "ConjunctiveForm",
@@ -89,7 +86,6 @@ __all__ = [
     "RationalMatrix",
     "SOLVE_COLUMN_GUARD",
     "SizeGuardError",
-    "TruthValue",
     "UnboundedError",
     "VERIFY_COLUMN_GUARD",
     "assignment_matrix",

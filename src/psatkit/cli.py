@@ -19,6 +19,8 @@ Exit codes: 0 feasible/true, 1 infeasible/false, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import re
@@ -378,6 +380,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="psat", description="Exact probabilistic satisfiability toolkit")
     common = _Parser(add_help=False)
@@ -417,7 +420,8 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):  # argparse prints --help to sys.stdout
+            args = _build_parser().parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise _UsageError("no command given (try --help)")
         return args.handler(args, out, err)

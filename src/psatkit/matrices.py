@@ -164,8 +164,12 @@ def _kernel_columns(n: int, k: int, max_columns: int):
     places = [k**i for i in range(n)]
     values = [Fraction(-d, k - 1) for d in range(k)]
     for a in assignments:
-        digits = zip(places, index_digits(a, n, k))
-        yield [(a, scale), *((place, values[d]) for place, d in digits if d)]
+        column, rest = [(a, scale)], a
+        for place in places:
+            rest, d = divmod(rest, k)
+            if d:
+                column.append((place, values[d]))
+        yield column
 
 
 def kernel_basis_matrix(

@@ -1,9 +1,10 @@
 """Clause syntax, k-valued assignments, and exact truth evaluation.
 
 Truth values live on the evenly spaced scale {kappa/(k-1) : 0 <= kappa < k};
-k=2 is classical logic. Assignments are indexed canonically by base-k
-expansion with digit 0 the least significant, so index j encodes variable
-X_0 in its lowest digit.
+k=2 is classical logic. An assignment is the tuple of its n truth values,
+X_0's first. Assignments are indexed canonically by base-k expansion with
+digit 0 the least significant, so index j encodes variable X_0 in its lowest
+digit.
 """
 
 from __future__ import annotations
@@ -30,31 +31,6 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class TruthValue:
-    """One of k evenly spaced truth values kappa/(k-1)."""
-
-    kappa: int
-    k: int = 2
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got k={self.k}")
-        if not 0 <= self.kappa <= self.k - 1:
-            raise ValueError(f"kappa={self.kappa} outside [0, {self.k - 1}]")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.kappa, self.k - 1)
-
-    @property
-    def is_true(self) -> bool:
-        return self.kappa == self.k - 1
-
-    def negated(self) -> TruthValue:
-        return TruthValue(self.k - 1 - self.kappa, self.k)
-
-
 def index_digits(index: int, n: int, k: int) -> tuple[int, ...]:
     """The n base-k digits of a canonical assignment index, X_0's digit first."""
     digits = []
@@ -62,32 +38,6 @@ def index_digits(index: int, n: int, k: int) -> tuple[int, ...]:
         index, digit = divmod(index, k)
         digits.append(digit)
     return tuple(digits)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """k-valued assignment together with its canonical index."""
-
-    n: int
-    k: int
-    index: int
-    digits: tuple[TruthValue, ...]
-
-    @classmethod
-    def from_index(cls, n: int, k: int, index: int) -> Assignment:
-        if n < 1 or k < 2:
-            raise ValueError(f"need n >= 1 and k >= 2, got n={n} k={k}")
-        if not 0 <= index < k**n:
-            raise ValueError(f"index {index} outside [0, {k ** n - 1}]")
-        return cls(n, k, index, tuple(TruthValue(d, k) for d in index_digits(index, n, k)))
-
-    def digit_values(self) -> tuple[Fraction, ...]:
-        return tuple(d.value for d in self.digits)
-
-    @property
-    def weight(self) -> int:
-        """Number of nonzero digits."""
-        return sum(1 for d in self.digits if d.kappa != 0)
 
 
 @dataclass(frozen=True)
@@ -179,32 +129,28 @@ class ConjunctiveForm:
 
 def enumerate_assignments(
     n: int, k: int = 2, max_columns: int = SOLVE_COLUMN_GUARD
-) -> list[Assignment]:
-    """All k**n assignments in canonical index order."""
+) -> list[tuple[Fraction, ...]]:
+    """All k**n assignments in canonical index order, each as its n truth values."""
     count = check_columns(n, k, max_columns)
-    return [Assignment.from_index(n, k, j) for j in range(count)]
+    scale = [Fraction(d, k - 1) for d in range(k)]
+    return [tuple(scale[d] for d in index_digits(j, n, k)) for j in range(count)]
 
 
-def eval_literal(literal: Literal, assignment: Assignment) -> TruthValue:
-    if literal.variable >= assignment.n:
+def eval_literal(literal: Literal, assignment: Sequence[Fraction]) -> Fraction:
+    if literal.variable >= len(assignment):
         raise ValueError(
-            f"literal on X_{literal.variable} but assignment has n={assignment.n}"
+            f"literal on X_{literal.variable} but assignment has n={len(assignment)}"
         )
-    digit = assignment.digits[literal.variable]
-    return digit.negated() if literal.negated else digit
+    value = assignment[literal.variable]
+    return ONE - value if literal.negated else value
 
 
-def eval_clause(clause: Clause, assignment: Assignment) -> TruthValue:
+def eval_clause(clause: Clause, assignment: Sequence[Fraction]) -> Fraction:
     """Disjunction as max over the truth-value scale."""
-    best = eval_literal(clause.literals[0], assignment)
-    for lit in clause.literals[1:]:
-        val = eval_literal(lit, assignment)
-        if val.kappa > best.kappa:
-            best = val
-    return best
+    return max(eval_literal(lit, assignment) for lit in clause.literals)
 
 
-def eval_form(form: ConjunctiveForm, assignment: Assignment) -> tuple[TruthValue, ...]:
+def eval_form(form: ConjunctiveForm, assignment: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(eval_clause(clause, assignment) for clause in form.clauses)
 
 

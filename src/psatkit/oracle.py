@@ -33,7 +33,7 @@ def exhaustive_sat(
 ) -> bool:
     """Classical-style satisfiability: some assignment gives every clause value 1."""
     for assignment in enumerate_assignments(form.n, k, max_columns):
-        if all(eval_clause(clause, assignment).is_true for clause in form.clauses):
+        if all(eval_clause(clause, assignment) == ONE for clause in form.clauses):
             return True
     return False
 
@@ -44,7 +44,7 @@ def clause_matrix(
     """Clause value matrix from the object model: clause i evaluated at assignment j."""
     assignments = enumerate_assignments(form.n, k, max_columns)
     return RationalMatrix.from_rows(
-        [[eval_clause(clause, a).value for a in assignments] for clause in form.clauses]
+        [[eval_clause(clause, a) for a in assignments] for clause in form.clauses]
     )
 
 

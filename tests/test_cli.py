@@ -350,6 +350,12 @@ class TestExitCodes:
         code, _, err = run_cli()
         assert code == 2
 
+    def test_help_goes_to_the_given_stream(self, capsys):
+        code, out, err = run_cli("solve", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: psat solve ")
+        assert capsys.readouterr().out == ""
+
     def test_guard_exit(self, tmp_path):
         code, _, err = run_cli(
             "solve", fixture_path("three.cnf"), "--max-columns", "4"

@@ -24,8 +24,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, run_cli
-from psatkit import oracle
-from psatkit.model import Assignment
+from psatkit import matrices, model, oracle, problems
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 CORPUS_SEED = 20261018
@@ -172,7 +171,7 @@ def test_golden_output(case, tmp_path):
 
 
 def test_solving_paths_build_no_assignment(monkeypatch, tmp_path):
-    build = Assignment.from_index
+    build = model.enumerate_assignments
 
     def refuse(*args):
         # verify's oracle side reads V from the object model on purpose.
@@ -181,9 +180,10 @@ def test_solving_paths_build_no_assignment(monkeypatch, tmp_path):
             if frame.f_code.co_filename == oracle.__file__:
                 return build(*args)
             frame = frame.f_back
-        raise ValueError("Assignment.from_index called")
+        raise ValueError("enumerate_assignments called")
 
-    monkeypatch.setattr(Assignment, "from_index", refuse)
+    for module in (model, matrices, problems, oracle):
+        monkeypatch.setattr(module, "enumerate_assignments", refuse)
     # Every command must give the pinned output without the object model
     # outside the oracle.
     differing = []

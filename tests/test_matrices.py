@@ -97,8 +97,8 @@ class TestAssignmentMatrix:
             n = 1
             while k**n <= 1024:
                 w = assignment_matrix(n, k, 1024)
-                digits = [a.digit_values() for a in enumerate_assignments(n, k, 1024)]
-                assert w.to_rows() == tuple(zip(*digits)), (n, k)
+                columns = enumerate_assignments(n, k, 1024)
+                assert w.to_rows() == tuple(zip(*columns)), (n, k)
                 n += 1
 
     def test_guard(self):
@@ -162,16 +162,18 @@ class TestWeightPermutation:
 
     def test_matches_the_docstring_rule_on_assignments(self):
         # weight first; among weight-1 columns the kappa=1 digits lead; then index
-        def key(a):
-            if a.weight == 1:
-                kappa = next(d.kappa for d in a.digits if d.kappa != 0)
-                return (1, 0 if kappa == 1 else 1, a.index)
-            return (a.weight, 0, a.index)
+        def key(indexed):
+            j, a = indexed
+            nonzero = [v for v in a if v != 0]
+            if len(nonzero) == 1:
+                return (1, 0 if nonzero[0] == F(1, k - 1) else 1, j)
+            return (len(nonzero), 0, j)
 
         for k in (2, 3, 4, 5):
             n = 1
             while k**n <= 4096:
-                expected = tuple(a.index for a in sorted(enumerate_assignments(n, k), key=key))
+                ordered = sorted(enumerate(enumerate_assignments(n, k)), key=key)
+                expected = tuple(j for j, _ in ordered)
                 assert weight_permutation(n, k) == expected, (n, k)
                 n += 1
 
@@ -320,7 +322,7 @@ class TestClauseValueMatrix:
                 clauses.append(Clause(tuple(literals)))
             form = ConjunctiveForm(n, tuple(clauses))
             expected = [
-                [eval_clause(clause, a).value for a in enumerate_assignments(n, k)]
+                [eval_clause(clause, a) for a in enumerate_assignments(n, k)]
                 for clause in clauses
             ]
             expected = tuple(map(tuple, expected))

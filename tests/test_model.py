@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from psatkit import (
-    Assignment,
     Clause,
     ConjunctiveForm,
     Distribution,
@@ -12,7 +11,6 @@ from psatkit import (
     Literal,
     ProbabilisticAssignment,
     SizeGuardError,
-    TruthValue,
     determinize,
     enumerate_assignments,
     eval_clause,
@@ -24,71 +22,49 @@ from conftest import random_form
 
 
 class TestTruthValue:
+    """A truth value is a Fraction on the scale kappa/(k-1)."""
+
     def test_classical_values(self):
-        assert TruthValue(0, 2).value == 0
-        assert TruthValue(1, 2).value == 1
-        assert TruthValue(1, 2).is_true
-        assert not TruthValue(0, 2).is_true
+        assert enumerate_assignments(1) == [(0,), (1,)]
+        assert all(type(v) is F for (v,) in enumerate_assignments(1))
+        assert [v == 1 for (v,) in enumerate_assignments(1)] == [False, True]
 
     def test_three_valued_scale(self):
-        assert TruthValue(0, 3).value == 0
-        assert TruthValue(1, 3).value == F(1, 2)
-        assert TruthValue(2, 3).value == 1
-        assert not TruthValue(1, 3).is_true
+        assert enumerate_assignments(1, 3) == [(0,), (F(1, 2),), (1,)]
+        assert [v == 1 for (v,) in enumerate_assignments(1, 3)] == [False, False, True]
 
     def test_negation_flips_the_scale(self):
-        assert TruthValue(0, 2).negated() == TruthValue(1, 2)
-        assert TruthValue(1, 3).negated() == TruthValue(1, 3)
-        assert TruthValue(2, 5).negated() == TruthValue(2, 5)
-        assert TruthValue(0, 5).negated() == TruthValue(4, 5)
+        for k in (2, 3, 4, 5):
+            for d in range(k):
+                got = eval_literal(Literal(0, True), (F(d, k - 1),))
+                assert got == F(k - 1 - d, k - 1)
 
     def test_double_negation(self):
+        # a negated literal at the mirrored value gives the value back
         for k in (2, 3, 4, 5):
-            for kappa in range(k):
-                tv = TruthValue(kappa, k)
-                assert tv.negated().negated() == tv
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            TruthValue(2, 2)
-        with pytest.raises(ValueError):
-            TruthValue(-1, 2)
-        with pytest.raises(ValueError):
-            TruthValue(0, 1)
+            for (v,) in enumerate_assignments(1, k):
+                assert eval_literal(Literal(0, True), (1 - v,)) == v
 
 
 class TestAssignment:
+    """An assignment is the tuple of its n truth values, X_0's first."""
+
     def test_low_variable_is_fastest_digit(self):
-        a = Assignment.from_index(3, 2, 1)
-        assert tuple(d.kappa for d in a.digits) == (1, 0, 0)
-        a = Assignment.from_index(3, 2, 6)
-        assert tuple(d.kappa for d in a.digits) == (0, 1, 1)
+        assignments = enumerate_assignments(3)
+        assert assignments[1] == (1, 0, 0)
+        assert assignments[6] == (0, 1, 1)
 
     def test_base_k_digits(self):
-        a = Assignment.from_index(2, 3, 5)
-        assert tuple(d.kappa for d in a.digits) == (2, 1)
-        assert a.digit_values() == (1, F(1, 2))
-
-    def test_weight_counts_nonzero_digits(self):
-        assert Assignment.from_index(3, 2, 0).weight == 0
-        assert Assignment.from_index(3, 2, 7).weight == 3
-        assert Assignment.from_index(2, 3, 4).weight == 2
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            Assignment.from_index(2, 2, 4)
-        with pytest.raises(ValueError):
-            Assignment.from_index(2, 2, -1)
+        assert enumerate_assignments(2, 3)[5] == (1, F(1, 2))
 
 
 class TestEnumeration:
     def test_order_is_canonical(self):
-        digits = [tuple(d.kappa for d in a.digits) for a in enumerate_assignments(2)]
-        assert digits == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert enumerate_assignments(2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_three_valued_order(self):
-        digits = [tuple(d.kappa for d in a.digits) for a in enumerate_assignments(1, 3)]
-        assert digits == [(0,), (1,), (2,)]
+        half = F(1, 2)
+        assert enumerate_assignments(2, 3)[:4] == [(0, 0), (half, 0), (1, 0), (0, half)]
 
     def test_count(self):
         assert len(list(enumerate_assignments(3, 3))) == 27
@@ -101,8 +77,8 @@ class TestEnumeration:
     def test_digits_are_x0_first(self):
         assert index_digits(5, 4, 2) == (1, 0, 1, 0)
         assert index_digits(7, 2, 3) == (1, 2)
-        for a in enumerate_assignments(3, 3):
-            assert tuple(d.kappa for d in a.digits) == index_digits(a.index, 3, 3)
+        for j, a in enumerate(enumerate_assignments(3, 3)):
+            assert tuple(2 * v for v in a) == index_digits(j, 3, 3)
 
 
 class TestLiteralsAndClauses:
@@ -143,25 +119,27 @@ class TestLiteralsAndClauses:
 
 class TestEvaluation:
     def test_literal_value(self):
-        a = Assignment.from_index(2, 2, 1)
-        assert eval_literal(Literal(0), a).value == 1
-        assert eval_literal(Literal(0, True), a).value == 0
-        assert eval_literal(Literal(1), a).value == 0
+        a = enumerate_assignments(2)[1]
+        assert eval_literal(Literal(0), a) == 1
+        assert eval_literal(Literal(0, True), a) == 0
+        assert eval_literal(Literal(1), a) == 0
 
     def test_clause_takes_the_max(self):
-        a = Assignment.from_index(2, 3, 1)
+        a = enumerate_assignments(2, 3)[1]
         c = Clause.from_dimacs((1, 2))
-        assert eval_clause(c, a) == TruthValue(1, 3)
+        assert eval_clause(c, a) == F(1, 2)
         c = Clause.from_dimacs((-1, 2))
-        assert eval_clause(c, a) == TruthValue(1, 3)
+        assert eval_clause(c, a) == F(1, 2)
+        c = Clause.from_dimacs((-1, -2))
+        assert eval_clause(c, a) == 1
 
     def test_form_values(self):
         form = ConjunctiveForm.from_dimacs(2, ((1,), (-1, 2)))
-        a = Assignment.from_index(2, 2, 3)
-        assert [v.value for v in eval_form(form, a)] == [1, 1]
+        a = enumerate_assignments(2)[3]
+        assert eval_form(form, a) == (1, 1)
 
     def test_variable_outside_assignment_rejected(self):
-        a = Assignment.from_index(1, 2, 0)
+        a = enumerate_assignments(1)[0]
         with pytest.raises(ValueError):
             eval_literal(Literal(1), a)
 
@@ -173,13 +151,13 @@ class TestEvaluation:
             n = rng.randint(1, 4)
             form = random_form(rng, n, rng.randint(1, 4))
             for a in enumerate_assignments(n):
-                bits = [d.kappa == 1 for d in a.digits]
+                bits = [v == 1 for v in a]
                 for clause in form.clauses:
                     want = any(
                         (not bits[l.variable]) if l.negated else bits[l.variable]
                         for l in clause.literals
                     )
-                    assert eval_clause(clause, a).is_true == want
+                    assert (eval_clause(clause, a) == 1) == want
 
 
 class TestDeterminize:
